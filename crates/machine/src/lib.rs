@@ -31,7 +31,7 @@ pub use oskit_fault::{
 pub use oskit_trace::{boundary, BoundaryId, BoundaryMetrics, EventKind, TraceReport, Tracer};
 pub use nic::{Nic, RxCoalesce, WireConfig, MAX_FRAME, MIN_FRAME};
 pub use phys::{PhysAddr, PhysMem, DMA_LIMIT, LOWER_MEM_END, UPPER_MEM_START};
-pub use sched::{EventId, Ns, Sim, SleepRecord, Tid, WakeReason};
+pub use sched::{EventId, Ns, SchedCounts, Sim, SleepRecord, Tid, WakeReason};
 pub use timer::Timer;
 pub use trap::{TrapDisposition, TrapFrame};
 pub use uart::Uart;

@@ -21,9 +21,9 @@
 //!   (see [`crate::Machine`]) drive all timing; no wall-clock sleeps occur
 //!   anywhere.
 
+use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::collections::{BinaryHeap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use parking_lot::{Condvar, Mutex, MutexGuard};
 use std::sync::Arc;
 
 /// Virtual nanoseconds since simulation start.
@@ -41,8 +41,8 @@ type Action = Box<dyn FnOnce() + Send>;
 
 struct Event {
     time: Ns,
+    /// Scheduling order, which breaks ties in `time`; also the event's id.
     seq: u64,
-    id: EventId,
     action: Action,
 }
 
@@ -83,12 +83,26 @@ enum ThreadState {
 struct Slot {
     name: String,
     state: ThreadState,
+    /// Only this thread parks here; a pass to it or a failure notifies it.
+    cv: Arc<Condvar>,
+}
+
+/// Deterministic scheduler work counts, read with [`Sim::sched_counts`].
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct SchedCounts {
+    /// Token passes to a different thread; each costs one host wakeup.
+    pub handoffs: u64,
+    /// Token passes straight back to the thread that blocked: no wakeup.
+    pub self_handoffs: u64,
+    /// Event actions run.
+    pub events_dispatched: u64,
+    /// Notifications sent to each thread, in spawn order (0: the harness).
+    pub notified: Vec<u64>,
 }
 
 struct Inner {
     time: Ns,
     seq: u64,
-    next_event_id: u64,
     events: BinaryHeap<Event>,
     cancelled: std::collections::HashSet<u64>,
     ready: VecDeque<Tid>,
@@ -101,12 +115,12 @@ struct Inner {
     in_event: bool,
     /// Virtual-time runaway guard.
     time_limit: Ns,
+    counts: SchedCounts,
 }
 
 /// The simulation kernel shared by all machines of one experiment.
 pub struct Sim {
     inner: Mutex<Inner>,
-    cv: Condvar,
 }
 
 thread_local! {
@@ -117,26 +131,31 @@ impl Sim {
     /// Creates a simulation with a default virtual-time limit of 1000
     /// virtual seconds (a runaway guard; see [`Sim::set_time_limit`]).
     pub fn new() -> Arc<Sim> {
+        let mut inner = Inner {
+            time: 0,
+            seq: 0,
+            events: BinaryHeap::new(),
+            cancelled: std::collections::HashSet::new(),
+            ready: VecDeque::new(),
+            slots: Vec::new(),
+            alive: 0,
+            failure: None,
+            in_event: false,
+            time_limit: 1_000_000_000_000,
+            counts: SchedCounts::default(),
+        };
+        // Slot 0 is the harness thread that calls `run`.
+        Self::add_slot(&mut inner, "harness".into(), ThreadState::Running);
         Arc::new(Sim {
-            inner: Mutex::new(Inner {
-                time: 0,
-                seq: 0,
-                next_event_id: 0,
-                events: BinaryHeap::new(),
-                cancelled: std::collections::HashSet::new(),
-                ready: VecDeque::new(),
-                // Slot 0 is the harness thread that calls `run`.
-                slots: vec![Slot {
-                    name: "harness".into(),
-                    state: ThreadState::Running,
-                }],
-                alive: 0,
-                failure: None,
-                in_event: false,
-                time_limit: 1_000_000_000_000,
-            }),
-            cv: Condvar::new(),
+            inner: Mutex::new(inner),
         })
+    }
+
+    fn add_slot(inner: &mut Inner, name: String, state: ThreadState) -> Tid {
+        let cv = Arc::default();
+        inner.slots.push(Slot { name, state, cv });
+        inner.counts.notified.push(0);
+        Tid(inner.slots.len() - 1)
     }
 
     /// Raises or lowers the virtual-time runaway guard.
@@ -146,6 +165,11 @@ impl Sim {
 
     fn lock(&self) -> MutexGuard<'_, Inner> {
         self.inner.lock()
+    }
+
+    /// Returns a snapshot of the scheduler's work counts so far.
+    pub fn sched_counts(&self) -> SchedCounts {
+        self.lock().counts.clone()
     }
 
     /// Returns the global event clock.
@@ -175,11 +199,7 @@ impl Sim {
         let name = name.into();
         let tid = {
             let mut inner = self.lock();
-            let tid = Tid(inner.slots.len());
-            inner.slots.push(Slot {
-                name: name.clone(),
-                state: ThreadState::Ready,
-            });
+            let tid = Self::add_slot(&mut inner, name.clone(), ThreadState::Ready);
             inner.ready.push_back(tid);
             inner.alive += 1;
             tid
@@ -195,31 +215,23 @@ impl Sim {
     fn thread_main(self: Arc<Self>, tid: Tid, f: impl FnOnce() + Send) {
         CURRENT.with(|c| c.set(Some(tid.0)));
         // Wait for the token before running the body.
-        {
-            let inner = self.lock();
-            if self.park_until_running(inner, tid).is_err() {
-                return; // Simulation failed before we first ran.
-            }
+        if Self::park_until_running(self.lock(), tid).failure.is_some() {
+            return; // Simulation failed before we first ran.
         }
         let result = catch_unwind(AssertUnwindSafe(f));
         let mut inner = self.lock();
         inner.alive -= 1;
         if let Err(p) = result {
             let msg = panic_message(p.as_ref());
-            if inner.failure.is_none() {
-                inner.failure = Some(format!(
-                    "thread '{}' panicked: {msg}",
-                    inner.slots[tid.0].name
-                ));
-            }
-            self.fail_all(&mut inner);
+            let failure = format!("thread '{}' panicked: {msg}", inner.slots[tid.0].name);
+            inner.failure.get_or_insert(failure);
         }
         inner.slots[tid.0].state = ThreadState::Dead;
         if inner.alive == 0 {
             // Wake the harness.
             Self::make_ready(&mut inner, Tid(0));
         }
-        self.pass_token(inner);
+        drop(self.pass_token(tid, inner));
     }
 
     /// Runs the simulation to completion: returns when every spawned
@@ -239,12 +251,9 @@ impl Sim {
             return;
         }
         inner.slots[0].state = ThreadState::Blocked;
-        drop(inner);
-        self.pass_token(self.lock());
-        let inner = self.lock();
-        let _ = self.park_until_running(inner, Tid(0));
-        let mut inner = self.lock();
-        if let Some(msg) = inner.failure.take() {
+        let inner = Self::park_until_running(self.pass_token(Tid(0), inner), Tid(0));
+        // Leave the failure set: threads not yet woken by it must see it.
+        if let Some(msg) = inner.failure.clone() {
             drop(inner);
             panic!("simulation failed: {msg}");
         }
@@ -253,37 +262,31 @@ impl Sim {
     /// Schedules `action` to run at interrupt level `delay` ns after the
     /// current event clock.
     pub fn at(&self, delay: Ns, action: impl FnOnce() + Send + 'static) -> EventId {
-        self.at_abs_time(None, delay, action)
+        self.schedule(|now| now + delay, action)
     }
 
     /// Schedules `action` at the absolute virtual time `time` (clamped to
     /// the current event clock if already past).
     pub fn at_abs(&self, time: Ns, action: impl FnOnce() + Send + 'static) -> EventId {
-        self.at_abs_time(Some(time), 0, action)
+        self.schedule(|now| time.max(now), action)
     }
 
-    fn at_abs_time(
+    /// Schedules `action` at `time(now)`, where `now` is the event clock.
+    fn schedule(
         &self,
-        abs: Option<Ns>,
-        delay: Ns,
+        time: impl FnOnce(Ns) -> Ns,
         action: impl FnOnce() + Send + 'static,
     ) -> EventId {
         let mut inner = self.lock();
-        let time = match abs {
-            Some(t) => t.max(inner.time),
-            None => inner.time + delay,
-        };
+        let time = time(inner.time);
         inner.seq += 1;
-        inner.next_event_id += 1;
-        let id = EventId(inner.next_event_id);
         let seq = inner.seq;
         inner.events.push(Event {
             time,
             seq,
-            id,
             action: Box::new(action),
         });
-        id
+        EventId(seq)
     }
 
     /// Cancels a scheduled event.  A no-op if it already ran.
@@ -310,10 +313,9 @@ impl Sim {
             "execution-model violation: blocking at interrupt level"
         );
         inner.slots[tid.0].state = ThreadState::Blocked;
-        drop(inner);
-        self.pass_token(self.lock());
-        let inner = self.lock();
-        if self.park_until_running(inner, tid).is_err() {
+        let inner = Self::park_until_running(self.pass_token(tid, inner), tid);
+        if inner.failure.is_some() {
+            drop(inner);
             panic!("simulation failed while blocked");
         }
     }
@@ -321,8 +323,7 @@ impl Sim {
     /// Marks `tid` runnable.  Control does *not* transfer immediately; the
     /// thread runs when the token next reaches it.
     pub fn wake(&self, tid: Tid) {
-        let mut inner = self.lock();
-        Self::make_ready(&mut inner, tid);
+        Self::make_ready(&mut self.lock(), tid);
     }
 
     /// Yields the token: lets every other ready thread (and any due event)
@@ -334,20 +335,15 @@ impl Sim {
         if !inner.ready.is_empty() {
             inner.slots[tid.0].state = ThreadState::Blocked;
             Self::make_ready(&mut inner, tid);
-            drop(inner);
-            self.pass_token(self.lock());
-            let inner = self.lock();
-            if self.park_until_running(inner, tid).is_err() {
-                panic!("simulation failed while yielding");
-            }
+            inner = Self::park_until_running(self.pass_token(tid, inner), tid);
         } else if !inner.events.is_empty() {
             // No other thread wants the token: advance time by dispatching
             // the earliest event inline instead of spinning forever.
-            let (inner, _) = self.dispatch_one_event(inner);
-            if inner.failure.is_some() {
-                drop(inner);
-                panic!("simulation failed while yielding");
-            }
+            inner = self.dispatch_one_event(inner).0;
+        }
+        if inner.failure.is_some() {
+            drop(inner);
+            panic!("simulation failed while yielding");
         }
     }
 
@@ -360,7 +356,7 @@ impl Sim {
     ) -> (MutexGuard<'a, Inner>, bool) {
         let ev = loop {
             match inner.events.pop() {
-                Some(ev) if inner.cancelled.remove(&ev.id.0) => continue,
+                Some(ev) if inner.cancelled.remove(&ev.seq) => continue,
                 other => break other,
             }
         };
@@ -369,23 +365,19 @@ impl Sim {
         };
         inner.time = inner.time.max(ev.time);
         if inner.time > inner.time_limit {
-            if inner.failure.is_none() {
-                inner.failure = Some(format!("virtual time limit exceeded at {} ns", inner.time));
-            }
-            self.fail_all(&mut inner);
+            let failure = format!("virtual time limit exceeded at {} ns", inner.time);
+            inner.failure.get_or_insert(failure);
             return (inner, true);
         }
+        inner.counts.events_dispatched += 1;
         inner.in_event = true;
         drop(inner);
         let result = catch_unwind(AssertUnwindSafe(ev.action));
         let mut inner = self.lock();
         inner.in_event = false;
         if let Err(p) = result {
-            let msg = panic_message(p.as_ref());
-            if inner.failure.is_none() {
-                inner.failure = Some(format!("event panicked: {msg}"));
-            }
-            self.fail_all(&mut inner);
+            let failure = format!("event panicked: {}", panic_message(p.as_ref()));
+            inner.failure.get_or_insert(failure);
         }
         (inner, true)
     }
@@ -408,19 +400,34 @@ impl Sim {
     }
 
     /// Hands the run token to the next ready thread, dispatching events
-    /// until one becomes ready.  The caller must have already moved itself
-    /// out of `Running`.
-    fn pass_token<'a>(&'a self, mut inner: MutexGuard<'a, Inner>) {
+    /// until one becomes ready, and notifies that thread alone.  When the
+    /// token comes straight back to the caller `me` (an event it dispatched
+    /// woke it), nobody is notified and the lock is held throughout.  The
+    /// caller must have already moved itself out of `Running`.
+    fn pass_token<'a>(
+        &'a self,
+        me: Tid,
+        mut inner: MutexGuard<'a, Inner>,
+    ) -> MutexGuard<'a, Inner> {
         loop {
             if inner.failure.is_some() {
-                self.fail_all(&mut inner);
-                return;
+                Self::fail_all(&mut inner);
+                return inner;
             }
             if let Some(next) = inner.ready.pop_front() {
                 inner.slots[next.0].state = ThreadState::Running;
+                if next == me {
+                    inner.counts.self_handoffs += 1;
+                    return inner;
+                }
+                inner.counts.handoffs += 1;
+                inner.counts.notified[next.0] += 1;
+                // Notify with the lock released: a target woken while we
+                // hold it can preempt us only to block on the mutex.
+                let cv = Arc::clone(&inner.slots[next.0].cv);
                 drop(inner);
-                self.cv.notify_all();
-                return;
+                cv.notify_one();
+                return self.lock();
             }
             // No thread is ready: advance virtual time to the next event.
             let (guard, ran) = self.dispatch_one_event(inner);
@@ -433,7 +440,7 @@ impl Sim {
                 if inner.slots[0].state != ThreadState::Blocked {
                     // The harness is not inside `run`; it conceptually
                     // holds the token already.
-                    return;
+                    return inner;
                 }
                 Self::make_ready(&mut inner, Tid(0));
                 continue;
@@ -450,27 +457,22 @@ impl Sim {
         }
     }
 
-    /// Parks until this thread holds the token.  Returns `Err` if the
-    /// simulation failed instead.
-    fn park_until_running(
-        &self,
-        mut inner: MutexGuard<'_, Inner>,
-        tid: Tid,
-    ) -> Result<(), ()> {
-        loop {
-            if inner.failure.is_some() {
-                return Err(());
-            }
-            if inner.slots[tid.0].state == ThreadState::Running {
-                return Ok(());
-            }
-            self.cv.wait(&mut inner);
+    /// Parks on this thread's own condvar until it holds the token or the
+    /// simulation has failed (the caller checks `failure`).
+    fn park_until_running<'a>(mut inner: MutexGuard<'a, Inner>, tid: Tid) -> MutexGuard<'a, Inner> {
+        let cv = Arc::clone(&inner.slots[tid.0].cv);
+        while inner.failure.is_none() && inner.slots[tid.0].state != ThreadState::Running {
+            cv.wait(&mut inner);
         }
+        inner
     }
 
     /// Wakes every parked thread so they can observe the failure and exit.
-    fn fail_all(&self, _inner: &mut Inner) {
-        self.cv.notify_all();
+    fn fail_all(inner: &mut Inner) {
+        for (slot, n) in inner.slots.iter().zip(&mut inner.counts.notified) {
+            *n += 1;
+            slot.cv.notify_one();
+        }
     }
 }
 
@@ -665,21 +667,51 @@ mod tests {
         sim.run();
     }
 
-    #[test]
-    fn two_threads_ping_pong() {
+    /// What one run of [`ping_pong`] measured.
+    struct PingPong {
+        rounds: usize,
+        /// Handoffs between the first and the last ping round.
+        handoffs: u64,
+        /// Notifications the bystanders got over the same window.
+        bystander_notifications: u64,
+    }
+
+    /// Runs a 100-round ping-pong beside `bystanders` threads that stay
+    /// blocked on their own sleep records until it is over.
+    fn ping_pong(bystanders: usize) -> PingPong {
         let sim = Sim::new();
         let a = Arc::new(SleepRecord::new());
         let b = Arc::new(SleepRecord::new());
         let count = Arc::new(AtomicUsize::new(0));
+        let window = Arc::new(Mutex::new(None));
 
-        let (s1, a1, b1, c1) = (sim.clone(), a.clone(), b.clone(), count.clone());
+        // Spawned first, so each has run and blocked before ping starts.
+        let mut release = Vec::new();
+        let mut idle = Vec::new();
+        for i in 0..bystanders {
+            let (s, rec) = (sim.clone(), Arc::new(SleepRecord::new()));
+            release.push(Arc::clone(&rec));
+            idle.push(sim.spawn(format!("bystander{i}"), move || rec.wait(&s)));
+        }
+        let (s1, a1, b1, c1, w1) = (
+            sim.clone(),
+            a.clone(),
+            b.clone(),
+            count.clone(),
+            window.clone(),
+        );
         sim.spawn("ping", move || {
+            let before = s1.sched_counts();
             for _ in 0..100 {
                 b1.signal(&s1);
                 a1.wait(&s1);
                 c1.fetch_add(1, Ordering::SeqCst);
             }
+            *w1.lock() = Some((before, s1.sched_counts()));
             b1.signal(&s1);
+            for rec in &release {
+                rec.signal(&s1);
+            }
         });
         let (s2, a2, b2, c2) = (sim.clone(), a.clone(), b.clone(), count.clone());
         sim.spawn("pong", move || {
@@ -690,7 +722,128 @@ mod tests {
             }
         });
         sim.run();
-        assert_eq!(count.load(Ordering::SeqCst), 200);
+        let (before, after) = window.lock().take().expect("ping finished its rounds");
+        PingPong {
+            rounds: count.load(Ordering::SeqCst),
+            handoffs: after.handoffs - before.handoffs,
+            bystander_notifications: idle
+                .iter()
+                .map(|t| after.notified[t.0] - before.notified[t.0])
+                .sum(),
+        }
+    }
+
+    #[test]
+    fn two_threads_ping_pong() {
+        assert_eq!(ping_pong(0).rounds, 200);
+    }
+
+    #[test]
+    fn handoffs_wake_only_their_target() {
+        let alone = ping_pong(0);
+        let crowded = ping_pong(8);
+        assert_eq!(crowded.rounds, 200);
+        // Two handoffs a round: ping to pong and back.
+        assert_eq!(alone.handoffs, 200);
+        assert_eq!(crowded.handoffs, alone.handoffs);
+        assert_eq!(crowded.bystander_notifications, 0);
+    }
+
+    #[test]
+    fn self_handoff_notifies_nobody() {
+        let sim = Sim::new();
+        let s2 = Arc::clone(&sim);
+        let t = sim.spawn("sleeper", move || {
+            let rec = Arc::new(SleepRecord::new());
+            for _ in 0..10 {
+                // The timeout event this thread dispatches while blocked
+                // wakes it again: the token comes straight back.
+                assert_eq!(rec.wait_timeout(&s2, 1_000), WakeReason::TimedOut);
+            }
+        });
+        sim.run();
+        let counts = sim.sched_counts();
+        assert_eq!(counts.self_handoffs, 10);
+        assert_eq!(counts.events_dispatched, 10);
+        // Harness to sleeper once, and back when the sleeper exits.
+        assert_eq!(counts.handoffs, 2);
+        assert_eq!(counts.notified[t.0], 1);
+        assert_eq!(counts.notified[0], 1);
+    }
+
+    /// Sends on its channel when dropped.  Moved into a thread's closure,
+    /// it reports the closure's drop, whether the closure ran or not.
+    struct OnExit(std::sync::mpsc::Sender<()>);
+
+    impl Drop for OnExit {
+        fn drop(&mut self) {
+            let _ = self.0.send(());
+        }
+    }
+
+    /// Spawns a thread that blocks on a sleep record nobody signals.
+    fn spawn_stuck(sim: &Arc<Sim>, name: &str, exits: &std::sync::mpsc::Sender<()>) {
+        let (s, on_exit) = (Arc::clone(sim), OnExit(exits.clone()));
+        sim.spawn(name, move || {
+            let _on_exit = on_exit;
+            SleepRecord::new().wait(&s);
+        });
+    }
+
+    /// Runs `sim`, which must fail, and waits until all `threads` spawned
+    /// host threads have exited.  Returns the failure message.
+    fn run_to_failure(sim: &Sim, threads: usize, exits: std::sync::mpsc::Receiver<()>) -> String {
+        let err = catch_unwind(AssertUnwindSafe(|| sim.run())).expect_err("run must fail");
+        for k in 0..threads {
+            // Bounds a hang only: a thread no failure reached never exits.
+            exits
+                .recv_timeout(std::time::Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("only {k} of {threads} threads exited"));
+        }
+        panic_message(err.as_ref())
+    }
+
+    #[test]
+    fn panic_reaches_every_parked_thread() {
+        let sim = Sim::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        // Three threads run first and block...
+        for i in 0..3 {
+            spawn_stuck(&sim, &format!("blocked{i}"), &tx);
+        }
+        let on_exit = OnExit(tx.clone());
+        sim.spawn("bad", move || {
+            let _on_exit = on_exit;
+            panic!("boom from bad");
+        });
+        // ...and three never get their first token.
+        for i in 0..3 {
+            let on_exit = OnExit(tx.clone());
+            sim.spawn(format!("ready{i}"), move || {
+                let _on_exit = on_exit;
+                unreachable!("a thread ran after the simulation failed");
+            });
+        }
+        let msg = run_to_failure(&sim, 7, rx);
+        assert!(
+            msg.contains("thread 'bad' panicked: boom from bad"),
+            "{msg}"
+        );
+    }
+
+    #[test]
+    fn deadlock_names_every_blocked_thread() {
+        let sim = Sim::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let names = ["stuck-a", "stuck-b", "stuck-c", "stuck-d"];
+        for name in names {
+            spawn_stuck(&sim, name, &tx);
+        }
+        let msg = run_to_failure(&sim, names.len(), rx);
+        assert!(msg.contains("deadlock"), "{msg}");
+        for name in names {
+            assert!(msg.contains(name), "{msg}");
+        }
     }
 
     #[test]

@@ -18,8 +18,10 @@ echo "==> cargo test -q (workspace, default features: trace+fault on)"
 cargo test -q
 
 echo "==> fault-soak replay determinism (same seed, two processes, identical ledgers)"
-soak_a=$(cargo test -q -p oskit --test fault_soak -- --nocapture | grep '^fault-soak:' || true)
-soak_b=$(cargo test -q -p oskit --test fault_soak -- --nocapture | grep '^fault-soak:' || true)
+# The soak tests run in parallel and cargo's progress dots can land in
+# front of any line, so take every ledger line wherever it starts, sorted.
+soak_a=$(cargo test -q -p oskit --test fault_soak -- --nocapture | grep -o 'fault-soak:.*' | sort || true)
+soak_b=$(cargo test -q -p oskit --test fault_soak -- --nocapture | grep -o 'fault-soak:.*' | sort || true)
 if [ -z "$soak_a" ]; then
     echo "fault-soak produced no ledger lines" >&2
     exit 1
@@ -61,6 +63,18 @@ if [ "$fast" -eq 0 ]; then
     echo "==> traceless table1/table2 stdout still byte-identical to tools/golden"
     ./target/release/table1 | diff - tools/golden/table1.txt
     ./target/release/table2 | diff - tools/golden/table2.txt
+    echo "==> perfbench smoke: every workload correct (byte checks, cross-round determinism)"
+    # 6 rounds a workload, traced and untraced alternating; each workload
+    # ends with one JSON line whose "correct" must be true.
+    bench=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+        --workload all --seconds 0 --trace 1)
+    results=$(printf '%s\n' "$bench" | grep -c '^{"correct": ' || true)
+    correct=$(printf '%s\n' "$bench" | grep -c '^{"correct": true,' || true)
+    if [ "$results" -ne 3 ] || [ "$correct" -ne 3 ]; then
+        printf '%s\n' "$bench" >&2
+        echo "perfbench: $correct of 3 workloads correct ($results result lines)" >&2
+        exit 1
+    fi
 fi
 
 echo "==> cargo doc --no-deps (warnings denied)"
