@@ -4,6 +4,8 @@
 //! Boots a full kernel (drivers, network stack, file system) so every
 //! component registers itself, then renders the registry.
 
+#![forbid(unsafe_code)]
+
 use oskit::machine::Sim;
 use oskit::netbsd_fs::FfsFileSystem;
 use oskit::KernelBuilder;

@@ -9,6 +9,8 @@
 //! of the `langos` example (the Java/PC stand-in).  Run after
 //! `cargo build --release --examples`.
 
+#![forbid(unsafe_code)]
+
 use oskit_bench::workspace_root;
 use std::path::Path;
 

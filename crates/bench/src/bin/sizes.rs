@@ -5,6 +5,8 @@
 //! (Formerly the `table3` binary; the `table3` name now belongs to the
 //! file-serving throughput benchmark.)
 
+#![forbid(unsafe_code)]
+
 use oskit_bench::{dir_loc, workspace_root};
 
 struct Row {

@@ -4,13 +4,15 @@
 
 //! `--boundaries` appends the per-boundary crossing breakdown for the
 //! OSKit client — *which* glue seams the Table 2 latency overhead is
-//! paid at (requires the default `trace` feature).
+//! paid at.
 //!
 //! `--napi` appends the receive-path ablation: the OSKit configuration
 //! rerun with NIC interrupt mitigation + budgeted polling.  Latency is
 //! where mitigation *loses* — a lone packet waits out the coalesce
 //! delay — so this row quantifies the price table1's `--napi` bandwidth
 //! row pays for its IRQ reduction.
+
+#![forbid(unsafe_code)]
 
 use oskit::{rtcp_run, NetConfig};
 
@@ -48,9 +50,7 @@ fn main() {
         }
     }
     if boundaries {
-        if !oskit::machine::Tracer::enabled() {
-            println!("\n--boundaries: trace feature is compiled out; rebuild with default features.");
-        } else if let Some(report) = &oskit_breakdown {
+        if let Some(report) = &oskit_breakdown {
             println!("\nper-boundary breakdown (OSKit client): where the glue crossings land");
             print!("{report}");
         }
@@ -68,10 +68,6 @@ fn main() {
     println!("       protocol mbuf, enabling mapping into a driver skbuff.");
 
     if napi {
-        if !oskit::linux_dev::NetDevice::napi_compiled() {
-            println!("\n--napi: napi feature is compiled out; rebuild with default features.");
-            return;
-        }
         let r = rtcp_run(NetConfig::oskit().napi(true), round_trips);
         println!("\nNAPI ablation (--napi, not a paper configuration):");
         println!(

@@ -14,6 +14,8 @@
 //! and the paper's ablations: allocator design (§6.2.10), COM dispatch
 //! cost, and bufio map-vs-copy.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 /// The paper's "filtered" source-line rule (Table 3 caption): "filters out

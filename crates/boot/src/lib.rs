@@ -7,6 +7,8 @@
 //! binary layouts, an in-memory boot loader for the simulated machine, and
 //! the bmod RAM-disk file system over loaded modules (§6.2.2).
 
+#![forbid(unsafe_code)]
+
 pub mod bmod;
 pub mod loader;
 pub mod multiboot;

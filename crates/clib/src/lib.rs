@@ -13,6 +13,8 @@
 //!   here so file systems only ever see single components;
 //! * [`time`] — `gettimeofday`/`getrusage` with a pluggable clock source.
 
+#![forbid(unsafe_code)]
+
 pub mod console;
 pub mod fmt;
 pub mod malloc;

@@ -21,6 +21,8 @@
 //! *purely behavioral contracts*: nothing in this crate forces a buffer
 //! representation, an allocator, or a threading model on either side.
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 mod error;
 mod guid;

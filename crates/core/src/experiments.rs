@@ -148,10 +148,9 @@ pub struct TtcpResult {
     pub sender: WorkSnapshot,
     /// Receiver-machine work counters.
     pub receiver: WorkSnapshot,
-    /// Per-boundary refinement of `sender` (empty rows unless the
-    /// `trace` feature is on).
+    /// Per-boundary rows `sender` is the sum of.
     pub sender_boundaries: TraceReport,
-    /// Per-boundary refinement of `receiver`.
+    /// Per-boundary rows `receiver` is the sum of.
     pub receiver_boundaries: TraceReport,
     /// Sender-machine fault ledger (all-zero unless a plan was installed
     /// via [`ttcp_run_faulted`]).
@@ -489,8 +488,7 @@ pub struct FileServeResult {
     pub server: WorkSnapshot,
     /// Client-machine work counters (not reset; includes connect).
     pub client: WorkSnapshot,
-    /// Per-boundary refinement of `server` (empty rows unless the
-    /// `trace` feature is on).
+    /// Per-boundary rows `server` is the sum of.
     pub server_boundaries: TraceReport,
 }
 
@@ -591,7 +589,6 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         ls.listen(1).expect("listen");
         // Measurement starts here: the counters cover the transfer only.
         ms2.meter.reset();
-        ms2.tracer().clear();
         ready_s.signal(&sim_s);
         let (conn, _) = ls.accept().expect("accept");
         match mode {
@@ -694,9 +691,6 @@ mod tests {
 
     #[test]
     fn oskit_send_copy_is_attributed_to_linux_ether_glue() {
-        if !oskit_machine::Tracer::enabled() {
-            return;
-        }
         let oskit = ttcp_run_mixed(NetConfig::oskit(), NetConfig::freebsd(), 64, 4096);
         // The Table 1 send-path penalty — one copy per packet when the
         // mbuf chain is handed to the Linux driver — books precisely on
@@ -710,11 +704,11 @@ mod tests {
         // The breakdown refines the aggregate meter without changing it:
         // summed per-boundary copies equal the WorkMeter total.
         assert_eq!(
-            oskit.sender_boundaries.total_bytes_copied(),
+            oskit.sender_boundaries.total().bytes_copied,
             oskit.sender.bytes_copied
         );
         assert_eq!(
-            oskit.sender_boundaries.total_crossings(),
+            oskit.sender_boundaries.total().crossings,
             oskit.sender.crossings
         );
         // Receive path on an OSKit receiver: zero copied bytes at every

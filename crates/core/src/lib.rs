@@ -14,6 +14,8 @@
 //! `oskit-*` crates directly to take only what you need, exactly as the
 //! paper prescribes (§4.2 "Modularity Versus Separability").
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod kernel;
 

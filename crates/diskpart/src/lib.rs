@@ -6,6 +6,8 @@
 //! its own `oskit_blkio` object — a windowed view onto the underlying
 //! device, so file systems mount partitions exactly as they mount disks.
 
+#![forbid(unsafe_code)]
+
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
 use std::sync::Arc;

@@ -7,6 +7,8 @@
 //! for the era's a.out) with the same loader architecture: parsing is
 //! pure, and the client supplies the memory callbacks.
 
+#![forbid(unsafe_code)]
+
 use oskit_amm::{flags as amm_flags, Amm};
 use oskit_machine::{Machine, PhysAddr};
 use std::sync::Arc;

@@ -31,6 +31,7 @@
 //! identical counters on every run — the property the soak harness's
 //! replay gate asserts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod com;

@@ -19,6 +19,8 @@
 //! which is used to initialize and register the entire driver" (§4.3.2) —
 //! here, a `Driver` value handed to the registry.
 
+#![forbid(unsafe_code)]
+
 use oskit_com::interfaces::netio::EtherDev;
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::{IUnknown, Query};

@@ -26,8 +26,7 @@ pub fn attach_native_if(net: &Arc<BsdNet>, nic: &Arc<Nic>) -> Arc<Ifnet> {
     let nic3 = Arc::clone(nic);
     let machine = Arc::clone(&net.env.machine);
     net.env.machine.irq.install(nic.irq_line(), move |_| {
-        machine.charge_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
-        machine.note_rx_irq();
+        machine.charge_rx_irq_at(oskit_machine::boundary!("freebsd-net", "net_intr"));
         while let Some(frame) = nic3.rx_pop() {
             // The DMA target cluster, wrapped without a CPU copy.
             let len = frame.len();

@@ -16,6 +16,8 @@
 //! (mbuf↔bufio conversion, the socket factory, netio exchange, and the
 //! monolithic-native baseline binding).
 
+#![forbid(unsafe_code)]
+
 pub mod bsd;
 pub mod glue;
 

@@ -190,9 +190,6 @@ fn oskit_bulk_transfer_delivers_exact_bytes() {
 
 #[test]
 fn oskit_napi_bulk_transfer_batches_and_stays_zero_copy() {
-    if !NetDevice::napi_compiled() {
-        return;
-    }
     let sim = Sim::new();
     let (a, b) = oskit_pair_with(&sim, oskit_linux_dev::NETIF_F_NAPI);
     bulk_transfer(&sim, &a, &b, 300_000);

@@ -7,6 +7,8 @@
 //! component's caches and write paths (it shares only the on-disk layout
 //! definitions, as the C `fsread` shared NetBSD's headers).
 
+#![forbid(unsafe_code)]
+
 use oskit_com::interfaces::blkio::{BlkIo, BufIo};
 use oskit_com::{Error, Query, Result};
 use oskit_netbsd_fs::ffs::ondisk::{

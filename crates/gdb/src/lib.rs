@@ -11,6 +11,8 @@
 //! (`m`/`M`), software breakpoints (`Z0`/`z0`), and resume (`c`/`s`) —
 //! over any byte connection, against any [`GdbTarget`].
 
+#![forbid(unsafe_code)]
+
 pub mod proto;
 pub mod stub;
 pub mod target;

@@ -10,6 +10,8 @@
 //! overridable defaults ([`TrapTable`]), real-layout x86 page tables
 //! ([`pgtab`]), segment descriptors ([`seg`]), and the serial console.
 
+#![forbid(unsafe_code)]
+
 pub mod base;
 pub mod console;
 pub mod pgtab;

@@ -11,6 +11,8 @@
 //! skbuff↔bufio wrapping (§4.7.3), manufactured `current` (§4.7.5), and
 //! wait-queue emulation over osenv sleep records (§4.7.6).
 
+#![forbid(unsafe_code)]
+
 pub mod glue;
 pub mod linux;
 

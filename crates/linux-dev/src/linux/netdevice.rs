@@ -120,17 +120,10 @@ impl NetDevice {
         *self.rx_handler.lock() = Some(Arc::new(h));
     }
 
-    /// Whether the NAPI receive path is compiled in (`napi` cargo
-    /// feature).  When false, [`NETIF_F_NAPI`] is ignored and every
-    /// device receives interrupt-per-frame.
-    pub const fn napi_compiled() -> bool {
-        cfg!(feature = "napi")
-    }
-
-    /// Whether this device actually runs the NAPI receive path: the
-    /// feature is compiled in *and* the device set [`NETIF_F_NAPI`].
+    /// Whether this device runs the NAPI receive path: it set
+    /// [`NETIF_F_NAPI`].
     pub fn napi_active(&self) -> bool {
-        Self::napi_compiled() && self.has_feature(NETIF_F_NAPI)
+        self.has_feature(NETIF_F_NAPI)
     }
 
     /// Overrides the per-poll frame budget (clamped to at least 1) —
@@ -158,8 +151,7 @@ impl NetDevice {
             .irq
             .install(self.hw.irq_line(), move |_| {
                 let Some(dev) = weak.upgrade() else { return };
-                machine.charge_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
-                machine.note_rx_irq();
+                machine.charge_rx_irq_at(oskit_machine::boundary!("linux-dev", "net_intr"));
                 if napi {
                     dev.napi_schedule();
                 } else {
@@ -520,9 +512,6 @@ mod tests {
 
     #[test]
     fn napi_device_batches_frames_under_fewer_irqs() {
-        if !NetDevice::napi_compiled() {
-            return;
-        }
         let sim = Sim::new();
         let ma = Machine::new(&sim, "a", 1 << 20);
         let mb = Machine::new(&sim, "b", 1 << 20);
@@ -567,9 +556,6 @@ mod tests {
 
     #[test]
     fn napi_budget_exhaustion_reschedules_until_ring_is_dry() {
-        if !NetDevice::napi_compiled() {
-            return;
-        }
         let (sim, da, dev) = two_devices();
         dev.set_features(NETIF_F_NAPI);
         dev.set_napi_budget(2);

@@ -9,6 +9,8 @@
 //! virtual-time scheduler that enforces the kit's process/interrupt
 //! execution model and the cost accounting behind Tables 1 and 2.
 
+#![forbid(unsafe_code)]
+
 pub mod costs;
 pub mod disk;
 pub mod irq;

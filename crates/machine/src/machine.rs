@@ -28,11 +28,9 @@ pub struct Machine {
     pub irq: Arc<IrqController>,
     /// Rates converting mechanical work to virtual time.
     pub costs: CostModel,
-    /// Counters of mechanical work performed.
+    /// Counters of mechanical work performed: the aggregate of the
+    /// per-boundary ledger [`Machine::tracer`] returns.
     pub meter: WorkMeter,
-    /// Per-boundary structured trace (zero-sized no-op unless the
-    /// `trace` feature is enabled).
-    tracer: Tracer,
     /// Scripted fault schedules (zero-sized no-op unless the `fault`
     /// feature is enabled).
     faults: FaultInjector,
@@ -59,15 +57,15 @@ impl Machine {
             irq: Arc::new(IrqController::new()),
             costs,
             meter: WorkMeter::default(),
-            tracer: Tracer::new(),
             faults: FaultInjector::new(),
             clock: AtomicU64::new(0),
         })
     }
 
-    /// This machine's tracer: per-boundary refinement of [`Machine::meter`].
+    /// This machine's counter ledger, one row per boundary;
+    /// [`Machine::meter`] is its field-wise sum.
     pub fn tracer(&self) -> &Tracer {
-        &self.tracer
+        self.meter.ledger()
     }
 
     /// This machine's fault injector: the device models consult it at
@@ -131,18 +129,15 @@ impl Machine {
     /// Charges a memory copy of `bytes` bytes, attributed to `boundary`.
     ///
     /// The aggregate [`Machine::meter`] and the CPU clock advance exactly
-    /// as in [`Machine::charge_copy`]; only the trace gains per-boundary
-    /// detail, so attributing a call site never changes Table 1 numbers.
+    /// as in [`Machine::charge_copy`]; only the ledger row differs, so
+    /// attributing a call site never changes Table 1 numbers.
     pub fn charge_copy_at(&self, boundary: BoundaryId, bytes: usize) {
-        self.meter.bytes_copied.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.meter.copies.fetch_add(1, Ordering::Relaxed);
         self.advance(self.costs.copy_ns(bytes));
-        self.tracer.record(
+        self.trace_note(
             boundary,
             EventKind::Copy {
                 bytes: bytes as u64,
             },
-            self.clock(),
         );
     }
 
@@ -161,26 +156,25 @@ impl Machine {
     /// are charged.  This is what an SG-capable driver pays where a
     /// contiguous-only driver pays [`Machine::charge_copy_at`].
     pub fn charge_gather_at(&self, boundary: BoundaryId, bytes: usize, fragments: usize) {
-        self.meter
-            .bytes_gathered
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.meter.gathers.fetch_add(1, Ordering::Relaxed);
         self.advance(self.costs.sg_frag_ns * fragments as u64);
-        self.tracer.record(
+        self.trace_note(
             boundary,
             EventKind::Gather {
                 bytes: bytes as u64,
             },
-            self.clock(),
         );
     }
 
-    /// Charges a checksum pass over `bytes` bytes.
+    /// Charges a checksum pass over `bytes` bytes (booked on the
+    /// unattributed row).
     pub fn charge_checksum(&self, bytes: usize) {
-        self.meter
-            .bytes_checksummed
-            .fetch_add(bytes as u64, Ordering::Relaxed);
         self.advance(self.costs.checksum_ns(bytes));
+        self.trace_note(
+            BoundaryId::UNATTRIBUTED,
+            EventKind::Checksum {
+                bytes: bytes as u64,
+            },
+        );
     }
 
     /// Charges one component-boundary crossing (COM dispatch plus glue
@@ -193,10 +187,8 @@ impl Machine {
 
     /// Charges one component-boundary crossing, attributed to `boundary`.
     pub fn charge_crossing_at(&self, boundary: BoundaryId) {
-        self.meter.crossings.fetch_add(1, Ordering::Relaxed);
         self.advance(self.costs.crossing_ns);
-        self.tracer
-            .record(boundary, EventKind::Crossing, self.clock());
+        self.trace_note(boundary, EventKind::Crossing);
     }
 
     /// Charges one layer of per-packet protocol processing.
@@ -213,16 +205,16 @@ impl Machine {
     /// Charges the fixed cost of taking a hardware interrupt, attributed
     /// to `boundary`.
     pub fn charge_irq_at(&self, boundary: BoundaryId) {
-        self.meter.irqs.fetch_add(1, Ordering::Relaxed);
         self.advance(self.costs.irq_ns);
-        self.tracer.record(boundary, EventKind::Irq, self.clock());
+        self.trace_note(boundary, EventKind::Irq);
     }
 
-    /// Notes that an interrupt just charged was a *receive* interrupt —
-    /// bumps the `rx_irqs` refinement counter without touching the clock
-    /// (the [`Machine::charge_irq_at`] already paid for it).
-    pub fn note_rx_irq(&self) {
-        self.meter.rx_irqs.fetch_add(1, Ordering::Relaxed);
+    /// Charges a NIC *receive* interrupt, attributed to `boundary`: the
+    /// same price as [`Machine::charge_irq_at`], booked as an interrupt
+    /// and as an `rx_irqs` one.
+    pub fn charge_rx_irq_at(&self, boundary: BoundaryId) {
+        self.advance(self.costs.irq_ns);
+        self.trace_note(boundary, EventKind::RxIrq);
     }
 
     /// Charges one budgeted poll dispatch that delivered `frames` frames,
@@ -234,20 +226,27 @@ impl Machine {
     /// The per-frame protocol and glue work is still charged by whoever
     /// consumes the frames — this prices only the dispatch.
     pub fn charge_rx_poll_at(&self, boundary: BoundaryId, frames: u64) {
-        self.meter.rx_polls.fetch_add(1, Ordering::Relaxed);
-        self.meter
-            .rx_batch_frames
-            .fetch_add(frames, Ordering::Relaxed);
         self.advance(self.costs.poll_ns);
-        self.tracer
-            .record(boundary, EventKind::Poll { frames }, self.clock());
+        self.trace_note(boundary, EventKind::Poll { frames });
     }
 
-    /// Records a trace event at `boundary` without charging any work —
-    /// used for observations that have no cost-model price of their own
+    /// Books `kind` on `boundary`'s ledger row without charging any
+    /// work — the one write every charge and note makes, used directly
+    /// for observations that have no cost-model price of their own
     /// (allocations, sleeps, wakeups reported by the osenv).
     pub fn trace_note(&self, boundary: BoundaryId, kind: EventKind) {
-        self.tracer.record(boundary, kind, self.clock());
+        self.tracer().record(boundary, kind);
+    }
+
+    /// Notes a packet handed to this machine's NIC (bookkeeping only).
+    pub fn note_packet_sent(&self) {
+        self.trace_note(BoundaryId::UNATTRIBUTED, EventKind::PacketSent);
+    }
+
+    /// Notes a packet this machine's NIC received onto its ring
+    /// (bookkeeping only).
+    pub fn note_packet_received(&self) {
+        self.trace_note(BoundaryId::UNATTRIBUTED, EventKind::PacketReceived);
     }
 
     /// Notes a buffer-cache hit at `boundary`.
@@ -256,22 +255,19 @@ impl Machine {
     /// clock is untouched — the whole point of the cache is that the
     /// virtual-time price of the avoided `blkio` read never gets paid.
     pub fn note_cache_hit_at(&self, boundary: BoundaryId) {
-        self.meter.cache_hits.fetch_add(1, Ordering::Relaxed);
-        self.tracer.count(boundary, EventKind::CacheHit);
+        self.trace_note(boundary, EventKind::CacheHit);
     }
 
     /// Notes a buffer-cache miss at `boundary` (the fill's device read is
     /// charged by the backing `blkio` itself).
     pub fn note_cache_miss_at(&self, boundary: BoundaryId) {
-        self.meter.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.tracer.count(boundary, EventKind::CacheMiss);
+        self.trace_note(boundary, EventKind::CacheMiss);
     }
 
     /// Notes a buffer-cache eviction at `boundary` (any dirty write-back
     /// is charged by the backing `blkio` itself).
     pub fn note_cache_evict_at(&self, boundary: BoundaryId) {
-        self.meter.cache_evictions.fetch_add(1, Ordering::Relaxed);
-        self.tracer.count(boundary, EventKind::CacheEvict);
+        self.trace_note(boundary, EventKind::CacheEvict);
     }
 
     /// Opens a profiling span at `boundary`: until the returned guard is
@@ -300,13 +296,15 @@ pub struct BoundarySpan<'a> {
 impl Drop for BoundarySpan<'_> {
     fn drop(&mut self) {
         let elapsed = self.machine.clock().saturating_sub(self.entry);
-        self.machine.tracer.add_vtime(self.boundary, elapsed);
+        self.machine.tracer().add_vtime(self.boundary, elapsed);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::costs::WorkSnapshot;
+    use oskit_trace::BoundaryMetrics;
 
     #[test]
     fn clock_accumulates_charges() {
@@ -356,6 +354,7 @@ mod tests {
         let plain = Machine::new(&sim, "plain", 4096);
         let attributed = Machine::new(&sim, "attr", 4096);
         let b = oskit_trace::boundary!("machine-test", "seam");
+        let c = oskit_trace::boundary!("machine-test", "seam_c");
 
         plain.charge_copy(100);
         plain.charge_crossing();
@@ -363,26 +362,108 @@ mod tests {
         attributed.charge_copy_at(b, 100);
         attributed.charge_crossing_at(b);
         attributed.charge_irq_at(b);
+        for m in [&plain, &attributed] {
+            m.charge_checksum(40);
+            m.note_packet_sent();
+            m.note_packet_received();
+        }
+        plain.charge_rx_irq_at(BoundaryId::UNATTRIBUTED);
+        plain.charge_rx_poll_at(BoundaryId::UNATTRIBUTED, 6);
+        plain.note_cache_hit_at(BoundaryId::UNATTRIBUTED);
+        plain.note_cache_miss_at(BoundaryId::UNATTRIBUTED);
+        plain.note_cache_evict_at(BoundaryId::UNATTRIBUTED);
+        attributed.charge_rx_irq_at(c);
+        attributed.charge_rx_poll_at(c, 6);
+        attributed.note_cache_hit_at(b);
+        attributed.note_cache_miss_at(c);
+        attributed.note_cache_evict_at(c);
 
         // Attribution is free: meters and clocks match exactly.
-        assert_eq!(plain.meter.snapshot(), attributed.meter.snapshot());
+        let snap = attributed.meter.snapshot();
+        assert_eq!(plain.meter.snapshot(), snap);
         assert_eq!(plain.clock(), attributed.clock());
+        assert_eq!(
+            (snap.irqs, snap.rx_irqs, snap.rx_polls, snap.rx_batch_frames),
+            (2, 1, 1, 6)
+        );
+        assert_eq!(
+            (
+                snap.packets_sent,
+                snap.packets_received,
+                snap.bytes_checksummed
+            ),
+            (1, 1, 40)
+        );
 
-        if Tracer::enabled() {
-            let m = *attributed
-                .tracer()
-                .metrics()
-                .get("machine-test", "seam")
-                .unwrap();
-            assert_eq!((m.copies, m.bytes_copied, m.crossings, m.irqs), (1, 100, 1, 1));
-            // The plain machine booked everything as unattributed.
-            let u = *plain
-                .tracer()
-                .metrics()
-                .get("machine", "unattributed")
-                .unwrap();
-            assert_eq!((u.copies, u.crossings, u.irqs), (1, 1, 1));
+        // The meter is the field-wise sum of the rows, unattributed
+        // row included.
+        for m in [&plain, &attributed] {
+            let r = m.tracer().metrics();
+            let sum = |f: fn(&BoundaryMetrics) -> u64| r.boundaries.iter().map(f).sum::<u64>();
+            let s = m.meter.snapshot();
+            let pairs = [
+                (s.bytes_copied, sum(|b| b.bytes_copied)),
+                (s.copies, sum(|b| b.copies)),
+                (s.bytes_gathered, sum(|b| b.bytes_gathered)),
+                (s.gathers, sum(|b| b.gathers)),
+                (s.crossings, sum(|b| b.crossings)),
+                (s.bytes_checksummed, sum(|b| b.bytes_checksummed)),
+                (s.irqs, sum(|b| b.irqs)),
+                (s.rx_irqs, sum(|b| b.rx_irqs)),
+                (s.rx_polls, sum(|b| b.polls)),
+                (s.rx_batch_frames, sum(|b| b.poll_frames)),
+                (s.packets_sent, sum(|b| b.packets_sent)),
+                (s.packets_received, sum(|b| b.packets_received)),
+                (s.cache_hits, sum(|b| b.cache_hits)),
+                (s.cache_misses, sum(|b| b.cache_misses)),
+                (s.cache_evictions, sum(|b| b.cache_evictions)),
+            ];
+            for (aggregate, rows) in pairs {
+                assert_eq!(aggregate, rows);
+            }
         }
+
+        let report = attributed.tracer().metrics();
+        let m = *report.get("machine-test", "seam").unwrap();
+        assert_eq!(
+            (m.copies, m.bytes_copied, m.crossings, m.irqs, m.cache_hits),
+            (1, 100, 1, 1, 1)
+        );
+        let mc = *report.get("machine-test", "seam_c").unwrap();
+        assert_eq!(
+            (
+                mc.irqs,
+                mc.rx_irqs,
+                mc.polls,
+                mc.poll_frames,
+                mc.cache_misses,
+                mc.cache_evictions
+            ),
+            (1, 1, 1, 6, 1, 1)
+        );
+        // Checksums and packets are booked as unattributed.
+        let u = *report.get("machine", "unattributed").unwrap();
+        assert_eq!(
+            (
+                u.bytes_checksummed,
+                u.packets_sent,
+                u.packets_received,
+                u.copies
+            ),
+            (40, 1, 1, 0)
+        );
+        // The plain machine booked everything as unattributed.
+        let u = *plain
+            .tracer()
+            .metrics()
+            .get("machine", "unattributed")
+            .unwrap();
+        assert_eq!((u.copies, u.crossings, u.irqs, u.polls), (1, 1, 2, 1));
+
+        // A meter reset clears the rows too.
+        attributed.meter.reset();
+        assert!(attributed.tracer().metrics().nonzero().next().is_none());
+        assert_eq!(attributed.meter.snapshot(), WorkSnapshot::default());
     }
 
     #[test]
@@ -399,15 +480,13 @@ mod tests {
         // The span itself charged nothing beyond the copy.
         assert_eq!(after.copies, before.copies + 1);
         assert_eq!(m.clock(), 1_000_000);
-        if Tracer::enabled() {
-            let v = m
-                .tracer()
-                .metrics()
-                .get("machine-test", "span_seam")
-                .unwrap()
-                .vtime_ns;
-            assert_eq!(v, 1_000_000);
-        }
+        let v = m
+            .tracer()
+            .metrics()
+            .get("machine-test", "span_seam")
+            .unwrap()
+            .vtime_ns;
+        assert_eq!(v, 1_000_000);
     }
 
     #[test]
@@ -425,10 +504,11 @@ mod tests {
         // below the ~60 µs a 1514-byte copy would have charged.
         assert_eq!(m.clock(), 2 * m.costs.sg_frag_ns);
         assert!(m.clock() < m.costs.copy_ns(1514) / 10);
-        if Tracer::enabled() {
-            let bm = *m.tracer().metrics().get("machine-test", "sg_seam").unwrap();
-            assert_eq!((bm.gathers, bm.bytes_gathered, bm.bytes_copied), (1, 1514, 0));
-        }
+        let bm = *m.tracer().metrics().get("machine-test", "sg_seam").unwrap();
+        assert_eq!(
+            (bm.gathers, bm.bytes_gathered, bm.bytes_copied),
+            (1, 1514, 0)
+        );
     }
 
     #[test]

@@ -226,7 +226,7 @@ impl Nic {
         let Some(machine) = self.machine.upgrade() else {
             return;
         };
-        machine.meter.packets_sent.fetch_add(1, Ordering::Relaxed);
+        machine.note_packet_sent();
         self.tx_offered.fetch_add(1, Ordering::Relaxed);
         // Scripted faults: a wedged transmitter eats the frame before it
         // reaches the wire (tx_wire stalls — the watchdog's signal); a
@@ -311,10 +311,7 @@ impl Nic {
             ring.len()
         };
         self.rx_enqueued.fetch_add(1, Ordering::Relaxed);
-        machine
-            .meter
-            .packets_received
-            .fetch_add(1, Ordering::Relaxed);
+        machine.note_packet_received();
         if !self.rx_irq_armed.load(Ordering::Relaxed) {
             // The driver disarmed the interrupt and is draining the ring
             // by polling; it will find this frame without being told.

@@ -13,6 +13,8 @@
 //! table.  `mark`/`check_since` reproduce the `memdebug_mark` /
 //! `memdebug_check` leak-bracketing calls.
 
+#![forbid(unsafe_code)]
+
 use oskit_clib::malloc::Malloc;
 use parking_lot::Mutex;
 use std::collections::HashMap;

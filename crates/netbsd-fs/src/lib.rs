@@ -11,6 +11,8 @@
 //! through the single-pathname-component COM interfaces that made the
 //! paper's secure file server possible without touching these internals.
 
+#![forbid(unsafe_code)]
+
 pub mod ffs {
     //! The donor-idiom file system code.
     pub mod buf;

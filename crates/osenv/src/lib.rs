@@ -21,6 +21,8 @@
 //! * the **component lock** ([`ProcessLock`]) recipe of §4.7.4 for hosting
 //!   nonpreemptive donor code in multithreaded clients.
 
+#![forbid(unsafe_code)]
+
 use oskit_machine::{IrqGuard, Machine, Ns, PhysAddr, Sim, SleepRecord, WakeReason, DMA_LIMIT};
 use oskit_trace::{boundary, EventKind};
 use parking_lot::Mutex;

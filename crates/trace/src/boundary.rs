@@ -4,19 +4,14 @@
 //! places the OSKit paper charges glue-code overhead to (e.g. the
 //! `linux-dev` ether driver hand-off into the `freebsd-net` stack).
 //! Boundaries are registered once per process and referred to everywhere
-//! else by a small dense [`BoundaryId`], so per-boundary counters can
-//! live in fixed-size atomic arrays with no locking on the hot path.
-//!
-//! Interning is always compiled in (even with the `trace` feature off):
-//! the table is tiny, registration happens once per call site, and
-//! keeping ids stable across feature configurations means code can hold
-//! a `BoundaryId` unconditionally.
+//! else by a small dense [`BoundaryId`], so each tracer's per-boundary
+//! rows live in one fixed-size array indexed by id.
 
 use std::sync::Mutex;
 
 /// Maximum number of distinct boundaries a process may register.
 ///
-/// Per-boundary counters are fixed-size arrays indexed by
+/// Each tracer's rows are a fixed-size array indexed by
 /// [`BoundaryId`], so this caps their footprint.  The whole OSKit tree
 /// registers ~25 boundaries; 64 leaves generous headroom.
 pub const MAX_BOUNDARIES: usize = 64;

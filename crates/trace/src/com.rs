@@ -18,27 +18,22 @@
 //! let _report = trace.trace_metrics();
 //! ```
 
-use crate::event::TraceEvent;
 use crate::tracer::{TraceReport, Tracer};
-use oskit_com::{com_interface_decl, com_object, new_com, oskit_iid, registry, Guid, IUnknown, SelfRef};
+use oskit_com::{
+    com_interface_decl, com_object, new_com, oskit_iid, registry, Guid, IUnknown, SelfRef,
+};
 use std::sync::{Arc, OnceLock};
 
 /// IID of the [`Trace`] interface: `oskit_iid(0xC0)`.
 pub const TRACE_IID: Guid = oskit_iid(0xC0);
 
 /// The `oskit_trace` COM interface: read-side access to a tracing
-/// domain's metrics and event stream.
+/// domain's per-boundary metrics.
 pub trait Trace: IUnknown {
     /// Snapshots per-boundary metrics for the wrapped tracer.
     fn trace_metrics(&self) -> TraceReport;
-    /// Drains buffered structured events, oldest first.
-    fn trace_drain_events(&self) -> Vec<TraceEvent>;
-    /// Events rejected because the ring was full.
-    fn trace_dropped(&self) -> u64;
-    /// Resets counters and discards buffered events.
+    /// Resets every counter.
     fn trace_clear(&self);
-    /// Whether recording is compiled in (`trace` feature).
-    fn trace_enabled(&self) -> bool;
 }
 com_interface_decl!(Trace, oskit_iid(0xC0), "oskit_trace");
 
@@ -65,17 +60,8 @@ impl Trace for TraceObj {
     fn trace_metrics(&self) -> TraceReport {
         self.tracer.metrics()
     }
-    fn trace_drain_events(&self) -> Vec<TraceEvent> {
-        self.tracer.drain_events()
-    }
-    fn trace_dropped(&self) -> u64 {
-        self.tracer.dropped()
-    }
     fn trace_clear(&self) {
         self.tracer.clear()
-    }
-    fn trace_enabled(&self) -> bool {
-        Tracer::enabled()
     }
 }
 com_object!(TraceObj, me, [Trace]);
@@ -110,18 +96,12 @@ pub fn register_com_object() {
 
 /// Starts counting COM interface queries against the process-global
 /// tracer, attributed to the `("com", <interface name>)` boundary.
-///
-/// With the `trace` feature off this installs nothing at all, so
-/// `query_interface` dispatch stays exactly as cheap as the seed.
 /// Idempotent; later calls (and later hook installers) are ignored.
 pub fn instrument_com_dispatch() {
-    #[cfg(feature = "trace")]
-    {
-        let _ = oskit_com::dispatch::set_query_hook(|iface| {
-            let b = crate::boundary::register_boundary("com", iface);
-            global().count(b, crate::event::EventKind::Crossing);
-        });
-    }
+    let _ = oskit_com::dispatch::set_query_hook(|iface| {
+        let b = crate::boundary::register_boundary("com", iface);
+        global().record(b, crate::event::EventKind::Crossing);
+    });
 }
 
 #[cfg(test)]
@@ -132,8 +112,7 @@ mod tests {
     #[test]
     fn trace_obj_is_queryable() {
         let obj = TraceObj::new(Tracer::new());
-        let t = obj.query::<dyn Trace>().unwrap();
-        assert_eq!(t.trace_enabled(), cfg!(feature = "trace"));
+        assert!(obj.query::<dyn Trace>().is_some());
         let names: Vec<_> = obj.interfaces().iter().map(|(n, _)| *n).collect();
         assert_eq!(names, ["oskit_trace"]);
     }
@@ -145,8 +124,7 @@ mod tests {
         let t = unk.query::<dyn Trace>().expect("answers oskit_trace");
         // The global tracer is shared: metrics are visible through COM.
         let b = crate::boundary!("testcomp", "com_round_trip");
-        global().count(b, crate::event::EventKind::Crossing);
-        #[cfg(feature = "trace")]
+        global().record(b, crate::event::EventKind::Crossing);
         assert!(
             t.trace_metrics()
                 .get("testcomp", "com_round_trip")
@@ -154,11 +132,8 @@ mod tests {
                 .crossings
                 >= 1
         );
-        #[cfg(not(feature = "trace"))]
-        assert!(t.trace_metrics().get("testcomp", "com_round_trip").unwrap().is_zero());
     }
 
-    #[cfg(feature = "trace")]
     #[test]
     fn dispatch_hook_counts_queries() {
         instrument_com_dispatch();

@@ -1,11 +1,7 @@
-//! Structured trace events.
+//! What a tracer records.
 //!
-//! Every event carries the [`BoundaryId`](crate::BoundaryId) of the glue
-//! seam it was observed at, the virtual timestamp of the machine's cost
-//! model at that moment, and a kind describing *what* crossed the seam.
-
-use crate::boundary::BoundaryId;
-use std::fmt;
+//! Each [`EventKind`] names one observation at a glue seam; the tracer
+//! books it on the seam's row of counters.
 
 /// What happened at a boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -17,26 +13,20 @@ pub enum EventKind {
         /// Number of bytes copied.
         bytes: u64,
     },
-    /// Memory was allocated through the osenv at this boundary.
-    Alloc {
-        /// Number of bytes allocated.
-        bytes: u64,
-    },
-    /// A thread blocked (osenv sleep) at this boundary.
-    Sleep,
-    /// A sleeping thread was woken at this boundary.
-    Wakeup,
-    /// An interrupt was delivered at this boundary.
-    Irq,
-    /// A budgeted poll (NAPI-style batch drain) ran at this boundary.
-    Poll {
-        /// Number of frames the poll delivered.
-        frames: u64,
-    },
     /// Payload bytes were handed to scatter-gather hardware as a fragment
     /// list — descriptors were programmed, but no byte was copied.
     Gather {
         /// Number of bytes gathered.
+        bytes: u64,
+    },
+    /// Bytes were checksummed at the boundary.
+    Checksum {
+        /// Number of bytes checksummed.
+        bytes: u64,
+    },
+    /// Memory was allocated through the osenv at this boundary.
+    Alloc {
+        /// Number of bytes allocated.
         bytes: u64,
     },
     /// An osenv allocation failed at this boundary (pool exhaustion or an
@@ -45,6 +35,24 @@ pub enum EventKind {
         /// Number of bytes requested.
         bytes: u64,
     },
+    /// A thread blocked (osenv sleep) at this boundary.
+    Sleep,
+    /// A sleeping thread was woken at this boundary.
+    Wakeup,
+    /// An interrupt was delivered at this boundary.
+    Irq,
+    /// A NIC receive interrupt was delivered at this boundary (counts as
+    /// an [`EventKind::Irq`] too).
+    RxIrq,
+    /// A budgeted poll (NAPI-style batch drain) ran at this boundary.
+    Poll {
+        /// Number of frames the poll delivered.
+        frames: u64,
+    },
+    /// A packet was handed to a NIC.
+    PacketSent,
+    /// A NIC received a packet onto its ring.
+    PacketReceived,
     /// A buffer-cache lookup was satisfied from memory at this boundary —
     /// no device I/O, no copy.
     CacheHit,
@@ -54,48 +62,4 @@ pub enum EventKind {
     /// A cached block was evicted (written back first if dirty) at this
     /// boundary to make room.
     CacheEvict,
-}
-
-impl fmt::Display for EventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            EventKind::Crossing => write!(f, "crossing"),
-            EventKind::Copy { bytes } => write!(f, "copy({bytes}B)"),
-            EventKind::Alloc { bytes } => write!(f, "alloc({bytes}B)"),
-            EventKind::Sleep => write!(f, "sleep"),
-            EventKind::Wakeup => write!(f, "wakeup"),
-            EventKind::Irq => write!(f, "irq"),
-            EventKind::Poll { frames } => write!(f, "poll({frames} frames)"),
-            EventKind::Gather { bytes } => write!(f, "gather({bytes}B)"),
-            EventKind::AllocFailed { bytes } => write!(f, "alloc_failed({bytes}B)"),
-            EventKind::CacheHit => write!(f, "cache_hit"),
-            EventKind::CacheMiss => write!(f, "cache_miss"),
-            EventKind::CacheEvict => write!(f, "cache_evict"),
-        }
-    }
-}
-
-/// One structured observation at a component boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceEvent {
-    /// Monotonic per-tracer sequence number (assigned at record time).
-    pub seq: u64,
-    /// Virtual timestamp, in nanoseconds of the machine's cost-model
-    /// clock, when the event was recorded.
-    pub vtime_ns: u64,
-    /// The boundary the event was observed at.
-    pub boundary: BoundaryId,
-    /// What happened.
-    pub kind: EventKind,
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let (component, name) = crate::boundary::boundary_info(self.boundary);
-        write!(
-            f,
-            "[{:>10}ns] #{:<5} {}::{} {}",
-            self.vtime_ns, self.seq, component, name, self.kind
-        )
-    }
 }

@@ -3,27 +3,25 @@
 //! The paper's central measurement story (§5, Tables 1–3) is about
 //! *attributing* overhead: how many control transfers and payload copies
 //! does each layer of glue code add between encapsulated donor-OS
-//! components?  The seed repo answers only in aggregate, through the
-//! per-machine `WorkMeter`.  This crate refines that into a structured,
-//! always-cheap trace layer:
+//! components?  The per-machine `WorkMeter` answers in aggregate; this
+//! crate keeps the per-seam ledger that aggregate is summed from:
 //!
 //! * **Boundaries** ([`BoundaryId`], [`register_boundary`], the
 //!   [`boundary!`] macro) — interned names for the glue seams between
 //!   components, e.g. `("linux-dev", "ether_tx")` where the FreeBSD
 //!   network stack hands a packet to the encapsulated Linux driver.
-//! * **Events** ([`TraceEvent`], [`EventKind`]) — structured
-//!   observations: crossings, copies (with byte counts), allocations,
-//!   sleeps, wakeups and IRQs, each stamped with the machine's
-//!   *virtual* cost-model timestamp.
-//! * **The ring** ([`EventRing`]) — a fixed-capacity lock-free
-//!   (Vyukov-style MPMC) buffer; overflow rejects new events and counts
-//!   the drops rather than blocking or silently losing them.
-//! * **The tracer** ([`Tracer`]) — a cloneable handle combining
-//!   per-boundary atomic counters with an event ring.  Behind the
-//!   `trace` feature (off by default in this crate, enabled by the
-//!   `oskit` facade's default features): when off, [`Tracer`] is a
-//!   zero-sized type and every recording call is an empty `#[inline]`
-//!   function.
+//! * **Events** ([`EventKind`]) — what crossed a seam: crossings,
+//!   copies and gathers (with byte counts), checksums, allocations,
+//!   sleeps, wakeups, interrupts, polls, packets and buffer-cache
+//!   lookups.
+//! * **The tracer** ([`Tracer`]) — a cloneable handle to a machine's
+//!   counter ledger: one row of plain counters per boundary (a
+//!   [`BoundaryMetrics`]) behind one lock.  Each event moves exactly
+//!   one row; a snapshot ([`TraceReport`]) copies all rows under the
+//!   lock, so it is always consistent.  The machine's aggregate
+//!   `WorkMeter` is the field-wise sum of the rows
+//!   ([`TraceReport::total`]), so aggregate and per-boundary numbers
+//!   cannot disagree.
 //! * **The COM export** ([`Trace`], [`TraceObj`],
 //!   [`register_com_object`]) — the OSKit way of exposing a service:
 //!   an interface with its own IID (`oskit_iid(0xC0)`), reachable via
@@ -37,15 +35,12 @@
 //!
 //! let tracer = Tracer::new();
 //! let seam = boundary!("freebsd-net", "rx_ether");
-//! tracer.record(seam, EventKind::Crossing, 1_000);
-//! tracer.record(seam, EventKind::Copy { bytes: 1460 }, 2_500);
+//! tracer.record(seam, EventKind::Crossing);
+//! tracer.record(seam, EventKind::Copy { bytes: 1460 });
 //!
-//! let report = tracer.metrics();
-//! if Tracer::enabled() {
-//!     let m = report.get("freebsd-net", "rx_ether").unwrap();
-//!     assert_eq!(m.crossings, 1);
-//!     assert_eq!(m.bytes_copied, 1460);
-//! }
+//! let m = *tracer.metrics().get("freebsd-net", "rx_ether").unwrap();
+//! assert_eq!(m.crossings, 1);
+//! assert_eq!(m.bytes_copied, 1460);
 //! ```
 //!
 //! The cost-model integration lives in `oskit-machine`
@@ -53,137 +48,179 @@
 //! `Tracer` and the bench harnesses render [`TraceReport`]s as
 //! per-boundary breakdown tables (`table1 --boundaries`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod boundary;
 mod com;
 mod event;
-mod ring;
 mod tracer;
 
 pub use boundary::{
     boundary_count, boundary_info, boundary_info_at, register_boundary, BoundaryId, MAX_BOUNDARIES,
 };
 pub use com::{global, instrument_com_dispatch, register_com_object, Trace, TraceObj, TRACE_IID};
-pub use event::{EventKind, TraceEvent};
-pub use ring::EventRing;
-pub use tracer::{BoundaryMetrics, TraceReport, Tracer, DEFAULT_RING_CAPACITY};
+pub use event::EventKind;
+pub use tracer::{BoundaryMetrics, TraceReport, Tracer};
 
 #[cfg(test)]
 mod tests {
-    /// Satellite requirement: with the feature off, the tracer must be
-    /// free — zero-sized, recording nothing, reporting all-zero.
-    #[cfg(not(feature = "trace"))]
-    mod disabled {
-        use crate::*;
-
-        #[test]
-        fn tracer_is_zero_sized_and_inert() {
-            assert!(!Tracer::enabled());
-            assert_eq!(std::mem::size_of::<Tracer>(), 0);
-            let t = Tracer::new();
-            let b = crate::boundary!("off", "seam");
-            t.record(b, EventKind::Copy { bytes: 4096 }, 7);
-            t.count(b, EventKind::Crossing);
-            assert_eq!(t.dropped(), 0);
-            assert!(t.drain_events().is_empty());
-            let report = t.metrics();
-            assert!(report.nonzero().next().is_none());
-            assert_eq!(report.total_bytes_copied(), 0);
-        }
-    }
-
-    #[cfg(feature = "trace")]
     mod enabled {
         use crate::*;
 
         #[test]
-        fn counters_and_ring_agree() {
+        fn each_kind_bumps_its_fields() {
             let t = Tracer::new();
             let a = crate::boundary!("en", "seam_a");
             let b = crate::boundary!("en", "seam_b");
-            t.record(a, EventKind::Crossing, 1);
-            t.record(a, EventKind::Copy { bytes: 100 }, 2);
-            t.record(b, EventKind::Sleep, 3);
-            t.record(b, EventKind::Wakeup, 4);
-            t.record(b, EventKind::Irq, 5);
-            t.record(b, EventKind::Alloc { bytes: 32 }, 6);
+            t.record(a, EventKind::Crossing);
+            t.record(a, EventKind::Copy { bytes: 100 });
+            t.record(a, EventKind::Gather { bytes: 60 });
+            t.record(a, EventKind::Checksum { bytes: 20 });
+            t.record(a, EventKind::PacketSent);
+            t.record(a, EventKind::PacketReceived);
+            t.record(b, EventKind::Sleep);
+            t.record(b, EventKind::Wakeup);
+            t.record(b, EventKind::Irq);
+            t.record(b, EventKind::RxIrq);
+            t.record(b, EventKind::Poll { frames: 5 });
+            t.record(b, EventKind::Alloc { bytes: 32 });
+            t.record(b, EventKind::AllocFailed { bytes: 64 });
+            t.record(b, EventKind::CacheHit);
+            t.record(b, EventKind::CacheMiss);
+            t.record(b, EventKind::CacheEvict);
+            t.add_vtime(b, 7);
 
             let r = t.metrics();
             let ma = r.get("en", "seam_a").unwrap();
-            assert_eq!((ma.crossings, ma.copies, ma.bytes_copied), (1, 1, 100));
+            assert_eq!(
+                (
+                    ma.crossings,
+                    ma.copies,
+                    ma.bytes_copied,
+                    ma.gathers,
+                    ma.bytes_gathered
+                ),
+                (1, 1, 100, 1, 60)
+            );
+            assert_eq!(
+                (ma.bytes_checksummed, ma.packets_sent, ma.packets_received),
+                (20, 1, 1)
+            );
             let mb = r.get("en", "seam_b").unwrap();
             assert_eq!(
-                (mb.sleeps, mb.wakeups, mb.irqs, mb.allocs, mb.bytes_allocated),
-                (1, 1, 1, 1, 32)
+                (
+                    mb.sleeps,
+                    mb.wakeups,
+                    mb.irqs,
+                    mb.rx_irqs,
+                    mb.polls,
+                    mb.poll_frames
+                ),
+                (1, 1, 2, 1, 1, 5)
             );
-
-            let events = t.drain_events();
-            assert_eq!(events.len(), 6);
-            // Sequence numbers are dense and vtime is preserved.
-            for (i, ev) in events.iter().enumerate() {
-                assert_eq!(ev.seq, i as u64);
-                assert_eq!(ev.vtime_ns, i as u64 + 1);
-            }
+            assert_eq!((mb.allocs, mb.bytes_allocated, mb.alloc_failed), (1, 32, 1));
+            assert_eq!(
+                (
+                    mb.cache_hits,
+                    mb.cache_misses,
+                    mb.cache_evictions,
+                    mb.vtime_ns
+                ),
+                (1, 1, 1, 7)
+            );
+            // The total is the field-wise sum of the two rows.
+            let total = r.total();
+            assert_eq!(
+                (total.irqs, total.bytes_copied, total.vtime_ns),
+                (2, 100, 7)
+            );
+            assert_eq!(
+                r.nonzero().map(|m| m.name).collect::<Vec<_>>(),
+                ["seam_a", "seam_b"]
+            );
         }
 
-        /// Satellite requirement: a metrics snapshot taken while writer
-        /// threads are recording must be internally consistent — every
-        /// counter a value that was actually reached, and the final
+        /// A metrics snapshot taken while writer threads are recording
+        /// must be consistent: no event half-counted (a count without
+        /// its bytes or frames), every counter monotone, and the final
         /// snapshot exact.
         #[test]
         fn snapshot_determinism_under_concurrent_writers() {
-            const WRITERS: usize = 4;
             const PER_WRITER: u64 = 5_000;
-            let t = Tracer::with_ring_capacity(128);
+            let kinds = [
+                EventKind::Copy { bytes: 10 },
+                EventKind::Copy { bytes: 10 },
+                EventKind::Gather { bytes: 20 },
+                EventKind::Poll { frames: 3 },
+                EventKind::Alloc { bytes: 32 },
+                EventKind::RxIrq,
+            ];
+            let t = Tracer::new();
             let seam = crate::boundary!("en", "concurrent_seam");
 
-            let handles: Vec<_> = (0..WRITERS)
-                .map(|_| {
+            let handles: Vec<_> = kinds
+                .iter()
+                .map(|&kind| {
                     let t = t.clone();
                     std::thread::spawn(move || {
-                        for i in 0..PER_WRITER {
-                            t.record(seam, EventKind::Copy { bytes: 10 }, i);
+                        for _ in 0..PER_WRITER {
+                            t.record(seam, kind);
                         }
                     })
                 })
                 .collect();
 
-            // Interleave snapshots with the writers: each observed value
-            // must be monotone and within range.
-            let mut last = 0;
-            for _ in 0..50 {
-                let m = *t.metrics().get("en", "concurrent_seam").unwrap();
-                assert!(m.copies >= last);
-                assert!(m.copies <= WRITERS as u64 * PER_WRITER);
+            // Snapshot for as long as the writers run: every pair of
+            // counters one event moves must agree, and each observed
+            // value must be monotone and within range.
+            let consistent = |m: &BoundaryMetrics| {
                 assert_eq!(m.bytes_copied, m.copies * 10);
-                last = m.copies;
+                assert_eq!(m.bytes_gathered, m.gathers * 20);
+                assert_eq!(m.poll_frames, m.polls * 3);
+                assert_eq!(m.bytes_allocated, m.allocs * 32);
+                assert_eq!(m.irqs, m.rx_irqs);
+            };
+            let mut last = BoundaryMetrics::default();
+            while !handles.iter().all(|h| h.is_finished()) {
+                let m = *t.metrics().get("en", "concurrent_seam").unwrap();
+                consistent(&m);
+                assert!(m.copies >= last.copies && m.copies <= 2 * PER_WRITER);
+                assert!(m.gathers >= last.gathers && m.gathers <= PER_WRITER);
+                assert!(m.polls >= last.polls && m.polls <= PER_WRITER);
+                assert!(m.allocs >= last.allocs && m.allocs <= PER_WRITER);
+                assert!(m.rx_irqs >= last.rx_irqs && m.rx_irqs <= PER_WRITER);
+                last = m;
             }
             for h in handles {
                 h.join().unwrap();
             }
 
             let m = *t.metrics().get("en", "concurrent_seam").unwrap();
-            assert_eq!(m.copies, WRITERS as u64 * PER_WRITER);
-            assert_eq!(m.bytes_copied, WRITERS as u64 * PER_WRITER * 10);
-            // Ring accounting is conservative: buffered + dropped = total.
+            consistent(&m);
             assert_eq!(
-                t.drain_events().len() as u64 + t.dropped(),
-                WRITERS as u64 * PER_WRITER
+                (m.copies, m.gathers, m.polls, m.allocs, m.rx_irqs),
+                (
+                    2 * PER_WRITER,
+                    PER_WRITER,
+                    PER_WRITER,
+                    PER_WRITER,
+                    PER_WRITER
+                )
             );
         }
 
         #[test]
         fn clear_resets_everything() {
-            let t = Tracer::with_ring_capacity(4);
+            let t = Tracer::new();
             let seam = crate::boundary!("en", "clear_seam");
-            for i in 0..10 {
-                t.record(seam, EventKind::Crossing, i);
+            for _ in 0..10 {
+                t.record(seam, EventKind::Crossing);
             }
-            assert!(t.dropped() > 0);
+            t.add_vtime(seam, 5);
             t.clear();
-            assert!(t.drain_events().is_empty());
             assert!(t.metrics().get("en", "clear_seam").unwrap().is_zero());
+            assert!(t.metrics().total().is_zero());
         }
 
         #[test]
@@ -191,7 +228,7 @@ mod tests {
             let t = Tracer::new();
             let t2 = t.clone();
             let seam = crate::boundary!("en", "shared_seam");
-            t.record(seam, EventKind::Crossing, 0);
+            t.record(seam, EventKind::Crossing);
             assert_eq!(t2.metrics().get("en", "shared_seam").unwrap().crossings, 1);
         }
 
@@ -199,46 +236,10 @@ mod tests {
         fn report_display_renders_rows() {
             let t = Tracer::new();
             let seam = crate::boundary!("en", "display_seam");
-            t.record(seam, EventKind::Copy { bytes: 7 }, 0);
+            t.record(seam, EventKind::Copy { bytes: 7 });
             let text = t.metrics().to_string();
             assert!(text.contains("en::display_seam"));
             assert!(text.contains("boundary"));
-        }
-    }
-
-    mod proptests {
-        use crate::*;
-        use proptest::prelude::*;
-
-        proptest! {
-            /// Aggregate conservation: however pushes and pops
-            /// interleave, accepted = popped + remaining and
-            /// rejected = dropped.
-            fn ring_conservation(ops in proptest::collection::vec(0u8..3u8, 1..200)) {
-                let r = EventRing::with_capacity(8);
-                let mk = |s: u64| TraceEvent {
-                    seq: s,
-                    vtime_ns: 0,
-                    boundary: BoundaryId::UNATTRIBUTED,
-                    kind: EventKind::Crossing,
-                };
-                let (mut accepted, mut popped) = (0u64, 0u64);
-                for (i, op) in ops.iter().enumerate() {
-                    if *op < 2 {
-                        if r.try_push(mk(i as u64)) {
-                            accepted += 1;
-                        }
-                    } else if r.pop().is_some() {
-                        popped += 1;
-                    }
-                }
-                let remaining = r.drain().len() as u64;
-                prop_assert_eq!(accepted, popped + remaining);
-                prop_assert_eq!(
-                    accepted + r.dropped(),
-                    ops.iter().filter(|&&o| o < 2).count() as u64
-                );
-            }
         }
     }
 }

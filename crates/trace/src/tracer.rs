@@ -1,47 +1,13 @@
-//! The per-machine tracer: per-boundary metric counters plus the event
-//! ring, behind a handle that compiles to a zero-sized no-op when the
-//! `trace` feature is off.
+//! The per-machine tracer: the machine's counter ledger, one row of
+//! plain counters per boundary behind one lock.
 
-use crate::boundary::{boundary_count, BoundaryId};
-#[cfg(feature = "trace")]
-use crate::boundary::MAX_BOUNDARIES;
-use crate::event::{EventKind, TraceEvent};
+use crate::boundary::{boundary_count, BoundaryId, MAX_BOUNDARIES};
+use crate::event::EventKind;
 use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-#[cfg(feature = "trace")]
-use crate::ring::EventRing;
-#[cfg(feature = "trace")]
-use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(feature = "trace")]
-use std::sync::Arc;
-
-/// Default capacity of a tracer's event ring, in events.
-pub const DEFAULT_RING_CAPACITY: usize = 4096;
-
-/// Live atomic counters for one boundary.
-#[cfg(feature = "trace")]
-#[derive(Default)]
-struct BoundaryStats {
-    crossings: AtomicU64,
-    copies: AtomicU64,
-    bytes_copied: AtomicU64,
-    gathers: AtomicU64,
-    bytes_gathered: AtomicU64,
-    allocs: AtomicU64,
-    bytes_allocated: AtomicU64,
-    alloc_failed: AtomicU64,
-    sleeps: AtomicU64,
-    wakeups: AtomicU64,
-    irqs: AtomicU64,
-    polls: AtomicU64,
-    poll_frames: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_evictions: AtomicU64,
-    vtime_ns: AtomicU64,
-}
-
-/// A point-in-time snapshot of one boundary's counters.
+/// One boundary's counters: a row of the ledger, or a point-in-time
+/// copy of one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BoundaryMetrics {
     /// Component owning the boundary (e.g. `"linux-dev"`).
@@ -59,6 +25,8 @@ pub struct BoundaryMetrics {
     pub gathers: u64,
     /// Total payload bytes moved by scatter-gather hand-offs at this seam.
     pub bytes_gathered: u64,
+    /// Bytes checksummed at this seam.
+    pub bytes_checksummed: u64,
     /// Allocations observed at this seam.
     pub allocs: u64,
     /// Total bytes allocated at this seam.
@@ -73,10 +41,17 @@ pub struct BoundaryMetrics {
     pub wakeups: u64,
     /// Interrupts delivered at this seam.
     pub irqs: u64,
+    /// The subset of `irqs` raised by a NIC receive path — the quantity
+    /// interrupt mitigation exists to shrink.
+    pub rx_irqs: u64,
     /// Budgeted polls (NAPI-style batch drains) run at this seam.
     pub polls: u64,
     /// Frames delivered by those polls.
     pub poll_frames: u64,
+    /// Packets handed to a NIC.
+    pub packets_sent: u64,
+    /// Packets a NIC received onto its ring.
+    pub packets_received: u64,
     /// Buffer-cache lookups satisfied from memory at this seam.
     pub cache_hits: u64,
     /// Buffer-cache lookups that had to fill from the backing device.
@@ -91,23 +66,50 @@ pub struct BoundaryMetrics {
 impl BoundaryMetrics {
     /// True when every counter is zero.
     pub fn is_zero(&self) -> bool {
-        self.crossings == 0
-            && self.copies == 0
-            && self.bytes_copied == 0
-            && self.gathers == 0
-            && self.bytes_gathered == 0
-            && self.allocs == 0
-            && self.bytes_allocated == 0
-            && self.alloc_failed == 0
-            && self.sleeps == 0
-            && self.wakeups == 0
-            && self.irqs == 0
-            && self.polls == 0
-            && self.poll_frames == 0
-            && self.cache_hits == 0
-            && self.cache_misses == 0
-            && self.cache_evictions == 0
-            && self.vtime_ns == 0
+        *self
+            == BoundaryMetrics {
+                component: self.component,
+                name: self.name,
+                ..BoundaryMetrics::default()
+            }
+    }
+
+    /// Books one event: the single place that maps an [`EventKind`] to
+    /// the counters it moves.
+    fn add(&mut self, kind: EventKind) {
+        match kind {
+            EventKind::Crossing => self.crossings += 1,
+            EventKind::Copy { bytes } => {
+                self.copies += 1;
+                self.bytes_copied += bytes;
+            }
+            EventKind::Gather { bytes } => {
+                self.gathers += 1;
+                self.bytes_gathered += bytes;
+            }
+            EventKind::Checksum { bytes } => self.bytes_checksummed += bytes,
+            EventKind::Alloc { bytes } => {
+                self.allocs += 1;
+                self.bytes_allocated += bytes;
+            }
+            EventKind::AllocFailed { .. } => self.alloc_failed += 1,
+            EventKind::Sleep => self.sleeps += 1,
+            EventKind::Wakeup => self.wakeups += 1,
+            EventKind::Irq => self.irqs += 1,
+            EventKind::RxIrq => {
+                self.irqs += 1;
+                self.rx_irqs += 1;
+            }
+            EventKind::Poll { frames } => {
+                self.polls += 1;
+                self.poll_frames += frames;
+            }
+            EventKind::PacketSent => self.packets_sent += 1,
+            EventKind::PacketReceived => self.packets_received += 1,
+            EventKind::CacheHit => self.cache_hits += 1,
+            EventKind::CacheMiss => self.cache_misses += 1,
+            EventKind::CacheEvict => self.cache_evictions += 1,
+        }
     }
 }
 
@@ -118,9 +120,6 @@ pub struct TraceReport {
     /// order (index == [`BoundaryId::index`]).  Boundaries this tracer
     /// never touched are present with all-zero counters.
     pub boundaries: Vec<BoundaryMetrics>,
-    /// Events rejected because the ring was full (see
-    /// [`crate::EventRing`]).
-    pub events_dropped: u64,
 }
 
 impl TraceReport {
@@ -136,22 +135,37 @@ impl TraceReport {
         self.boundaries.iter().filter(|b| !b.is_zero())
     }
 
-    /// Sum of bytes copied across every boundary.  When all charges are
-    /// attributed this equals the aggregate
-    /// `WorkMeter` `bytes_copied`.
-    pub fn total_bytes_copied(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.bytes_copied).sum()
-    }
-
-    /// Sum of crossings across every boundary.
-    pub fn total_crossings(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.crossings).sum()
-    }
-
-    /// Sum of bytes moved by scatter-gather hand-offs across every
-    /// boundary.
-    pub fn total_bytes_gathered(&self) -> u64 {
-        self.boundaries.iter().map(|b| b.bytes_gathered).sum()
+    /// Field-wise sum over every boundary, the unattributed one
+    /// included (the result has no name): the machine's aggregate
+    /// `WorkMeter` view.
+    pub fn total(&self) -> BoundaryMetrics {
+        self.boundaries
+            .iter()
+            .fold(BoundaryMetrics::default(), |a, b| BoundaryMetrics {
+                component: "",
+                name: "",
+                crossings: a.crossings + b.crossings,
+                copies: a.copies + b.copies,
+                bytes_copied: a.bytes_copied + b.bytes_copied,
+                gathers: a.gathers + b.gathers,
+                bytes_gathered: a.bytes_gathered + b.bytes_gathered,
+                bytes_checksummed: a.bytes_checksummed + b.bytes_checksummed,
+                allocs: a.allocs + b.allocs,
+                bytes_allocated: a.bytes_allocated + b.bytes_allocated,
+                alloc_failed: a.alloc_failed + b.alloc_failed,
+                sleeps: a.sleeps + b.sleeps,
+                wakeups: a.wakeups + b.wakeups,
+                irqs: a.irqs + b.irqs,
+                rx_irqs: a.rx_irqs + b.rx_irqs,
+                polls: a.polls + b.polls,
+                poll_frames: a.poll_frames + b.poll_frames,
+                packets_sent: a.packets_sent + b.packets_sent,
+                packets_received: a.packets_received + b.packets_received,
+                cache_hits: a.cache_hits + b.cache_hits,
+                cache_misses: a.cache_misses + b.cache_misses,
+                cache_evictions: a.cache_evictions + b.cache_evictions,
+                vtime_ns: a.vtime_ns + b.vtime_ns,
+            })
     }
 }
 
@@ -159,19 +173,23 @@ impl fmt::Display for TraceReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>12}",
+            "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>10} {:>7} {:>9} {:>7} {:>8} {:>5} {:>7} {:>6} {:>11} {:>7} {:>7} {:>7} {:>7} {:>7} {:>12}",
             "boundary",
             "crossings",
             "copies",
             "bytes-copied",
             "gathers",
+            "csum-bytes",
             "allocs",
             "alloc-ENOMEM",
             "sleeps",
             "wakeups",
             "irqs",
+            "rx-irqs",
             "polls",
             "poll-frames",
+            "pkts-tx",
+            "pkts-rx",
             "c-hits",
             "c-miss",
             "c-evict",
@@ -180,277 +198,116 @@ impl fmt::Display for TraceReport {
         for b in self.nonzero() {
             writeln!(
                 f,
-                "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>7} {:>9} {:>7} {:>8} {:>5} {:>6} {:>11} {:>7} {:>7} {:>7} {:>12}",
+                "  {:<34} {:>9} {:>7} {:>12} {:>7} {:>10} {:>7} {:>9} {:>7} {:>8} {:>5} {:>7} {:>6} {:>11} {:>7} {:>7} {:>7} {:>7} {:>7} {:>12}",
                 format!("{}::{}", b.component, b.name),
                 b.crossings,
                 b.copies,
                 b.bytes_copied,
                 b.gathers,
+                b.bytes_checksummed,
                 b.allocs,
                 b.alloc_failed,
                 b.sleeps,
                 b.wakeups,
                 b.irqs,
+                b.rx_irqs,
                 b.polls,
                 b.poll_frames,
+                b.packets_sent,
+                b.packets_received,
                 b.cache_hits,
                 b.cache_misses,
                 b.cache_evictions,
                 b.vtime_ns
             )?;
         }
-        if self.events_dropped > 0 {
-            writeln!(f, "  ({} trace events dropped)", self.events_dropped)?;
-        }
         Ok(())
     }
 }
 
-#[cfg(feature = "trace")]
-struct TracerCore {
-    stats: Box<[BoundaryStats]>,
-    ring: EventRing,
-    next_seq: AtomicU64,
-}
-
-#[cfg(feature = "trace")]
-impl TracerCore {
-    fn new(ring_capacity: usize) -> TracerCore {
-        TracerCore {
-            stats: (0..MAX_BOUNDARIES).map(|_| BoundaryStats::default()).collect(),
-            ring: EventRing::with_capacity(ring_capacity),
-            next_seq: AtomicU64::new(0),
-        }
-    }
-
-    fn bump(&self, boundary: BoundaryId, kind: EventKind) {
-        let s = &self.stats[boundary.index()];
-        match kind {
-            EventKind::Crossing => {
-                s.crossings.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Copy { bytes } => {
-                s.copies.fetch_add(1, Ordering::Relaxed);
-                s.bytes_copied.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::Alloc { bytes } => {
-                s.allocs.fetch_add(1, Ordering::Relaxed);
-                s.bytes_allocated.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::Sleep => {
-                s.sleeps.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Wakeup => {
-                s.wakeups.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Irq => {
-                s.irqs.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Poll { frames } => {
-                s.polls.fetch_add(1, Ordering::Relaxed);
-                s.poll_frames.fetch_add(frames, Ordering::Relaxed);
-            }
-            EventKind::Gather { bytes } => {
-                s.gathers.fetch_add(1, Ordering::Relaxed);
-                s.bytes_gathered.fetch_add(bytes, Ordering::Relaxed);
-            }
-            EventKind::AllocFailed { .. } => {
-                s.alloc_failed.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheHit => {
-                s.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheMiss => {
-                s.cache_misses.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::CacheEvict => {
-                s.cache_evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-}
-
 /// A cloneable handle to one tracing domain (normally: one simulated
-/// machine).
+/// machine) — the domain's counter ledger.
 ///
-/// With the `trace` feature enabled the handle shares a core of
-/// per-boundary atomic counters plus an
-/// [`EventRing`](crate::EventRing); recording is a handful of relaxed
-/// atomic ops.  With the feature disabled the handle is a zero-sized
-/// type and every method is an empty inline function the optimizer
-/// erases entirely.
+/// Clones share one table of per-boundary rows of plain `u64`
+/// counters behind a single mutex.  Every recording call takes the lock
+/// once and writes one row, and [`Tracer::metrics`] copies the rows
+/// under the same lock, so a snapshot never sees half of an event (a
+/// copy counted without its bytes).  Within a simulation the run token
+/// already serializes the writers, so the lock is uncontended.
 ///
 /// ```
 /// use oskit_trace::{boundary, EventKind, Tracer};
 /// let t = Tracer::new();
-/// t.record(boundary!("doc", "seam"), EventKind::Copy { bytes: 64 }, 10);
+/// t.record(boundary!("doc", "seam"), EventKind::Copy { bytes: 64 });
 /// let report = t.metrics();
-/// # #[cfg(feature = "trace")]
 /// assert_eq!(report.get("doc", "seam").unwrap().bytes_copied, 64);
+/// assert_eq!(report.total().copies, 1);
 /// ```
 #[derive(Clone)]
 pub struct Tracer {
-    #[cfg(feature = "trace")]
-    core: Arc<TracerCore>,
+    rows: Arc<Mutex<Box<[BoundaryMetrics]>>>,
 }
 
 impl Tracer {
-    /// Creates a tracer with the default ring capacity.
+    /// Creates a tracer with every row zero.
     pub fn new() -> Tracer {
-        Tracer::with_ring_capacity(DEFAULT_RING_CAPACITY)
-    }
-
-    /// Creates a tracer whose ring holds `capacity` events.
-    #[allow(unused_variables)]
-    pub fn with_ring_capacity(capacity: usize) -> Tracer {
         Tracer {
-            #[cfg(feature = "trace")]
-            core: Arc::new(TracerCore::new(capacity)),
+            rows: Arc::new(Mutex::new(
+                vec![BoundaryMetrics::default(); MAX_BOUNDARIES].into_boxed_slice(),
+            )),
         }
     }
 
-    /// Whether event recording is compiled in.
+    /// Whether recording is live: always `true`.  There is no build
+    /// without the ledger, since the machine's aggregate counters are
+    /// derived from it.
     pub const fn enabled() -> bool {
-        cfg!(feature = "trace")
+        true
     }
 
-    /// Records a full structured event: bumps the boundary's counters
-    /// and appends to the event ring (counting, not silently dropping,
-    /// on overflow).
-    #[allow(unused_variables)]
-    #[inline]
-    pub fn record(&self, boundary: BoundaryId, kind: EventKind, vtime_ns: u64) {
-        #[cfg(feature = "trace")]
-        {
-            self.core.bump(boundary, kind);
-            let seq = self.core.next_seq.fetch_add(1, Ordering::Relaxed);
-            self.core.ring.try_push(TraceEvent {
-                seq,
-                vtime_ns,
-                boundary,
-                kind,
-            });
-        }
+    /// The rows, locked.  Every update is a single `+=` on a plain
+    /// counter, so a panic elsewhere cannot leave a row half-written and
+    /// a poisoned lock is safe to reuse.
+    fn rows(&self) -> MutexGuard<'_, Box<[BoundaryMetrics]>> {
+        self.rows.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Bumps the boundary's counters without emitting a ring event.
-    ///
-    /// Used on paths too hot (or too global) for per-event storage,
-    /// e.g. COM interface dispatch.
-    #[allow(unused_variables)]
+    /// Books one event on `boundary`'s row.
     #[inline]
-    pub fn count(&self, boundary: BoundaryId, kind: EventKind) {
-        #[cfg(feature = "trace")]
-        self.core.bump(boundary, kind);
+    pub fn record(&self, boundary: BoundaryId, kind: EventKind) {
+        self.rows()[boundary.index()].add(kind);
     }
 
     /// Attributes `ns` of virtual time to `boundary` (reported by span
     /// guards when they close).
-    #[allow(unused_variables)]
     #[inline]
     pub fn add_vtime(&self, boundary: BoundaryId, ns: u64) {
-        #[cfg(feature = "trace")]
-        self.core.stats[boundary.index()]
-            .vtime_ns
-            .fetch_add(ns, Ordering::Relaxed);
+        self.rows()[boundary.index()].vtime_ns += ns;
     }
 
-    /// Snapshots every registered boundary's counters.
-    ///
-    /// The snapshot is per-counter atomic; under concurrent writers each
-    /// value is some value the counter actually held.
+    /// Snapshots every registered boundary's row.  The rows are copied
+    /// under the lock, so the snapshot is consistent across counters
+    /// and boundaries.
     pub fn metrics(&self) -> TraceReport {
-        let mut report = TraceReport {
-            boundaries: Vec::new(),
-            events_dropped: self.dropped(),
-        };
-        for i in 0..boundary_count() {
-            let (component, name) = crate::boundary::boundary_info_at(i);
-            #[cfg(feature = "trace")]
-            let m = {
-                let s = &self.core.stats[i];
+        let rows = self.rows()[..boundary_count()].to_vec();
+        let boundaries = rows
+            .iter()
+            .enumerate()
+            .map(|(i, row)| {
+                let (component, name) = crate::boundary::boundary_info_at(i);
                 BoundaryMetrics {
                     component,
                     name,
-                    crossings: s.crossings.load(Ordering::Relaxed),
-                    copies: s.copies.load(Ordering::Relaxed),
-                    bytes_copied: s.bytes_copied.load(Ordering::Relaxed),
-                    gathers: s.gathers.load(Ordering::Relaxed),
-                    bytes_gathered: s.bytes_gathered.load(Ordering::Relaxed),
-                    allocs: s.allocs.load(Ordering::Relaxed),
-                    bytes_allocated: s.bytes_allocated.load(Ordering::Relaxed),
-                    alloc_failed: s.alloc_failed.load(Ordering::Relaxed),
-                    sleeps: s.sleeps.load(Ordering::Relaxed),
-                    wakeups: s.wakeups.load(Ordering::Relaxed),
-                    irqs: s.irqs.load(Ordering::Relaxed),
-                    polls: s.polls.load(Ordering::Relaxed),
-                    poll_frames: s.poll_frames.load(Ordering::Relaxed),
-                    cache_hits: s.cache_hits.load(Ordering::Relaxed),
-                    cache_misses: s.cache_misses.load(Ordering::Relaxed),
-                    cache_evictions: s.cache_evictions.load(Ordering::Relaxed),
-                    vtime_ns: s.vtime_ns.load(Ordering::Relaxed),
+                    ..*row
                 }
-            };
-            #[cfg(not(feature = "trace"))]
-            let m = BoundaryMetrics {
-                component,
-                name,
-                ..BoundaryMetrics::default()
-            };
-            report.boundaries.push(m);
-        }
-        report
+            })
+            .collect();
+        TraceReport { boundaries }
     }
 
-    /// Removes and returns all buffered events, oldest first.
-    pub fn drain_events(&self) -> Vec<TraceEvent> {
-        #[cfg(feature = "trace")]
-        {
-            self.core.ring.drain()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            Vec::new()
-        }
-    }
-
-    /// Number of events rejected because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        #[cfg(feature = "trace")]
-        {
-            self.core.ring.dropped()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            0
-        }
-    }
-
-    /// Resets every counter and discards buffered events.
+    /// Resets every row to zero.
     pub fn clear(&self) {
-        #[cfg(feature = "trace")]
-        {
-            for s in self.core.stats.iter() {
-                s.crossings.store(0, Ordering::Relaxed);
-                s.copies.store(0, Ordering::Relaxed);
-                s.bytes_copied.store(0, Ordering::Relaxed);
-                s.gathers.store(0, Ordering::Relaxed);
-                s.bytes_gathered.store(0, Ordering::Relaxed);
-                s.allocs.store(0, Ordering::Relaxed);
-                s.bytes_allocated.store(0, Ordering::Relaxed);
-                s.alloc_failed.store(0, Ordering::Relaxed);
-                s.sleeps.store(0, Ordering::Relaxed);
-                s.wakeups.store(0, Ordering::Relaxed);
-                s.irqs.store(0, Ordering::Relaxed);
-                s.polls.store(0, Ordering::Relaxed);
-                s.poll_frames.store(0, Ordering::Relaxed);
-                s.cache_hits.store(0, Ordering::Relaxed);
-                s.cache_misses.store(0, Ordering::Relaxed);
-                s.cache_evictions.store(0, Ordering::Relaxed);
-                s.vtime_ns.store(0, Ordering::Relaxed);
-            }
-            while self.core.ring.pop().is_some() {}
-        }
+        self.rows().fill(BoundaryMetrics::default());
     }
 }
 
@@ -462,8 +319,6 @@ impl Default for Tracer {
 
 impl fmt::Debug for Tracer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Tracer")
-            .field("enabled", &Tracer::enabled())
-            .finish()
+        f.debug_struct("Tracer").finish_non_exhaustive()
     }
 }

@@ -6,6 +6,8 @@
 //! with `cargo bench`.  No statistics, plots, or baselines — each bench
 //! reports the best observed iteration time over a few measured batches.
 
+#![forbid(unsafe_code)]
+
 use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;

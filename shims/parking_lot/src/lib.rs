@@ -9,6 +9,8 @@
 //! Poisoning is deliberately ignored, matching `parking_lot` semantics: a
 //! panic while holding the lock leaves the data accessible.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Deref, DerefMut};
 use std::sync;
 

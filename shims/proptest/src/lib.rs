@@ -14,6 +14,8 @@
 //! * **No shrinking**: a failing case reports its inputs' case number but
 //!   is not minimized.
 
+#![forbid(unsafe_code)]
+
 use std::fmt;
 
 /// Deterministic splitmix64 generator driving all sampling.

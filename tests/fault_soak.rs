@@ -144,10 +144,6 @@ fn napi_receiver_survives_lost_coalesced_irqs() {
         eprintln!("fault feature compiled out; soak skipped");
         return;
     }
-    if !oskit::linux_dev::NetDevice::napi_compiled() {
-        eprintln!("napi feature compiled out; soak skipped");
-        return;
-    }
     let (sf, rf, sw, rw) = napi_soak_once(0x0a51_50ac);
 
     // The plan bit: receive-side interrupts actually got lost...

@@ -25,9 +25,6 @@ fn table1_receive_parity() {
 /// do occur land on the linux-dev/freebsd-net glue, not anywhere hidden.
 #[test]
 fn table1_receive_is_zero_copy_at_every_boundary() {
-    if !oskit::machine::Tracer::enabled() {
-        return; // breakdown compiled out; aggregate parity covered above
-    }
     let r = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::oskit(), 512, 4096);
     let report = &r.receiver_boundaries;
     for b in report.nonzero() {
@@ -55,8 +52,8 @@ fn table1_receive_is_zero_copy_at_every_boundary() {
     assert!(rx.crossings > 0, "no crossings recorded at ether_rx");
     // And the breakdown is complete: per-boundary counts sum to the
     // aggregate WorkMeter the parity assertions above are built on.
-    assert_eq!(report.total_crossings(), r.receiver.crossings);
-    assert_eq!(report.total_bytes_copied(), r.receiver.bytes_copied);
+    assert_eq!(report.total().crossings, r.receiver.crossings);
+    assert_eq!(report.total().bytes_copied, r.receiver.bytes_copied);
 }
 
 /// Table 1's send row, per boundary: the one extra copy of every payload
@@ -64,9 +61,6 @@ fn table1_receive_is_zero_copy_at_every_boundary() {
 /// where §4.7 says the price of encapsulation is paid.
 #[test]
 fn table1_send_copy_lands_on_ether_glue() {
-    if !oskit::machine::Tracer::enabled() {
-        return;
-    }
     let r = ttcp_run_mixed(NetConfig::oskit(), NetConfig::freebsd(), 512, 4096);
     let tx = r
         .sender_boundaries
@@ -128,9 +122,6 @@ fn sg_driver_recovers_send_penalty() {
 /// `table1_send_copy_lands_on_ether_glue` proves it normally lives.
 #[test]
 fn sg_send_is_zero_copy_at_ether_glue() {
-    if !oskit::machine::Tracer::enabled() {
-        return; // aggregate meters covered above
-    }
     let r = ttcp_run_mixed(NetConfig::oskit().sg(true), NetConfig::freebsd(), 512, 4096);
     let tx = r
         .sender_boundaries
@@ -144,7 +135,7 @@ fn sg_send_is_zero_copy_at_ether_glue() {
     assert!(tx.gathers > 0, "no gathers recorded at ether_tx");
     assert!(tx.bytes_gathered >= r.bytes);
     // Completeness: the per-boundary gathers sum to the aggregate meter.
-    assert_eq!(r.sender_boundaries.total_bytes_gathered(), r.sender.bytes_gathered);
+    assert_eq!(r.sender_boundaries.total().bytes_gathered, r.sender.bytes_gathered);
 }
 
 /// Table 2: OSKit round trips cost more than FreeBSD's, and the delta is

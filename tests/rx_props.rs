@@ -100,9 +100,6 @@ proptest! {
         let (classic, cm) = run_pattern(false, 0, payloads.clone(), gaps.clone());
         prop_assert_eq!(&classic, &payloads);
         prop_assert_eq!(cm.rx_polls, 0);
-        if !NetDevice::napi_compiled() {
-            return Ok(());
-        }
         let (napi, nm) = run_pattern(true, budget, payloads.clone(), gaps);
         prop_assert_eq!(&napi, &payloads);
         prop_assert_eq!(&napi, &classic);
@@ -121,9 +118,6 @@ proptest! {
         budget in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        if !NetDevice::napi_compiled() {
-            return Ok(());
-        }
         let sim = Sim::new();
         let ma = Machine::new(&sim, "a", 1 << 20);
         let mb = Machine::new(&sim, "b", 1 << 20);
