@@ -19,7 +19,7 @@
 //! failing interrupt-level allocations, lost IRQs), printing the
 //! injection/recovery ledger.  The transfer is still byte-exact — the
 //! harness asserts it — so the row quantifies the throughput cost of
-//! surviving the faults (requires the default `fault` feature).
+//! surviving the faults.
 
 #![forbid(unsafe_code)]
 
@@ -188,50 +188,46 @@ fn main() {
     }
 
     if faults {
-        if !oskit::machine::FaultInjector::enabled() {
-            println!("\n--faults: fault feature is compiled out; rebuild with default features.");
-        } else {
-            // Robustness ablation, printed after (never instead of) the
-            // paper table: the OSKit rows rerun under a seeded fault plan.
-            // Throughput drops; correctness may not — ttcp_run_faulted
-            // asserts the transfer is byte-exact.
-            let plan = FaultPlan::new(0x0a51_c0de)
-                .nic(NicFaults {
-                    drop_per_mille: 5,
-                    burst_len: 2,
-                    // Not a round number: a period dividing TCP's 3 s
-                    // retransmit schedule would park every SYN retry
-                    // inside the wedge window (see tests/fault_soak.rs).
-                    wedge_period_ns: 83_000_009,
-                    wedge_duration_ns: 1_500_000,
-                    ..NicFaults::default()
-                })
-                .alloc(AllocFaults {
-                    fail_per_mille: 1,
-                    atomic_fail_per_mille: 2,
-                })
-                .irq(IrqFaults { lose_per_mille: 1 });
-            let send = ttcp_run_faulted(NetConfig::oskit(), NetConfig::freebsd(), blocks, bs, Some(plan));
-            let recv = ttcp_run_faulted(NetConfig::freebsd(), NetConfig::oskit(), blocks, bs, Some(plan));
-            println!("\nfault ablation (--faults, seed 0x0a51c0de, byte-exact transfers):");
-            println!("{:18} {:>10.2} {:>10.2}", "OSKit (faults)", send.mbit_s, recv.mbit_s);
-            let injected =
-                send.sender_faults.total_injected() + send.receiver_faults.total_injected();
-            check("fault plan actually fired on the send run", injected > 0);
-            check(
-                "faulted throughput is below the clean OSKit row",
-                send.mbit_s < oskit_send && recv.mbit_s < oskit_recv,
-            );
-            check(
-                "no block-layer involvement in a pure network run",
-                send.sender_faults.blk_hard_failures == 0
-                    && recv.receiver_faults.blk_hard_failures == 0,
-            );
-            println!("send-run sender ledger:");
-            print!("{}", send.sender_faults);
-            println!("send-run receiver ledger:");
-            print!("{}", send.receiver_faults);
-        }
+        // Robustness ablation, printed after (never instead of) the
+        // paper table: the OSKit rows rerun under a seeded fault plan.
+        // Throughput drops; correctness may not — ttcp_run_faulted
+        // asserts the transfer is byte-exact.
+        let plan = FaultPlan::new(0x0a51_c0de)
+            .nic(NicFaults {
+                drop_per_mille: 5,
+                burst_len: 2,
+                // Not a round number: a period dividing TCP's 3 s
+                // retransmit schedule would park every SYN retry
+                // inside the wedge window (see tests/fault_soak.rs).
+                wedge_period_ns: 83_000_009,
+                wedge_duration_ns: 1_500_000,
+                ..NicFaults::default()
+            })
+            .alloc(AllocFaults {
+                fail_per_mille: 1,
+                atomic_fail_per_mille: 2,
+            })
+            .irq(IrqFaults { lose_per_mille: 1 });
+        let send = ttcp_run_faulted(NetConfig::oskit(), NetConfig::freebsd(), blocks, bs, Some(plan));
+        let recv = ttcp_run_faulted(NetConfig::freebsd(), NetConfig::oskit(), blocks, bs, Some(plan));
+        println!("\nfault ablation (--faults, seed 0x0a51c0de, byte-exact transfers):");
+        println!("{:18} {:>10.2} {:>10.2}", "OSKit (faults)", send.mbit_s, recv.mbit_s);
+        let injected =
+            send.sender_faults.total_injected() + send.receiver_faults.total_injected();
+        check("fault plan actually fired on the send run", injected > 0);
+        check(
+            "faulted throughput is below the clean OSKit row",
+            send.mbit_s < oskit_send && recv.mbit_s < oskit_recv,
+        );
+        check(
+            "no block-layer involvement in a pure network run",
+            send.sender_faults.blk_hard_failures == 0
+                && recv.receiver_faults.blk_hard_failures == 0,
+        );
+        println!("send-run sender ledger:");
+        print!("{}", send.sender_faults);
+        println!("send-run receiver ledger:");
+        print!("{}", send.receiver_faults);
     }
 
     if boundaries {

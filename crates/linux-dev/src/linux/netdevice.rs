@@ -21,8 +21,7 @@ pub const NETIF_F_SG: u32 = 1;
 /// `NETIF_F_NAPI`: the device runs the NAPI-style receive path —
 /// interrupt mitigation in hardware plus a budgeted softirq poll loop in
 /// the driver — instead of one interrupt per frame.  Off by default (the
-/// paper's receive path is interrupt-per-frame); additionally requires
-/// the `napi` cargo feature, without which the bit is ignored.
+/// paper's receive path is interrupt-per-frame).
 pub const NETIF_F_NAPI: u32 = 2;
 
 /// Ethernet protocol numbers (host byte order).

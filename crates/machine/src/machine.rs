@@ -31,8 +31,8 @@ pub struct Machine {
     /// Counters of mechanical work performed: the aggregate of the
     /// per-boundary ledger [`Machine::tracer`] returns.
     pub meter: WorkMeter,
-    /// Scripted fault schedules (zero-sized no-op unless the `fault`
-    /// feature is enabled).
+    /// Scripted fault schedules (every decision is "no fault" until a
+    /// plan is installed).
     faults: FaultInjector,
     clock: AtomicU64,
 }

@@ -289,7 +289,9 @@ impl Sim {
         EventId(seq)
     }
 
-    /// Cancels a scheduled event.  A no-op if it already ran.
+    /// Cancels a scheduled event that has not run yet.  Cancelling one
+    /// that already ran is a leak: its id is kept until the end of the
+    /// simulation, since no pop will ever match it.
     pub fn cancel(&self, id: EventId) {
         self.lock().cancelled.insert(id.0);
     }
@@ -492,7 +494,15 @@ fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
 /// thread of control can wait on it at a time."  Signals are sticky: a
 /// signal delivered before the wait completes is not lost.
 pub struct SleepRecord {
-    state: Mutex<SleepState>,
+    inner: Mutex<Sleep>,
+}
+
+struct Sleep {
+    state: SleepState,
+    /// Set when the current [`SleepRecord::wait_timeout`]'s timer runs: an
+    /// event that already ran must not be cancelled, or its id would stay
+    /// in the simulation's cancelled set forever.
+    timer_ran: bool,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -521,7 +531,10 @@ impl SleepRecord {
     /// Creates an unsignaled sleep record.
     pub fn new() -> Self {
         SleepRecord {
-            state: Mutex::new(SleepState::Idle),
+            inner: Mutex::new(Sleep {
+                state: SleepState::Idle,
+                timer_ran: false,
+            }),
         }
     }
 
@@ -534,56 +547,60 @@ impl SleepRecord {
     pub fn wait(&self, sim: &Sim) {
         let me = Sim::current_tid().expect("sleep outside sim thread");
         {
-            let mut st = self.state.lock();
-            match *st {
+            let mut sl = self.inner.lock();
+            match sl.state {
                 SleepState::Signaled => {
-                    *st = SleepState::Idle;
+                    sl.state = SleepState::Idle;
                     return;
                 }
-                SleepState::Idle => *st = SleepState::Waiting(me),
+                SleepState::Idle => sl.state = SleepState::Waiting(me),
                 SleepState::Waiting(_) => panic!("sleep record already has a waiter"),
             }
         }
         sim.block_current();
-        let mut st = self.state.lock();
-        debug_assert_eq!(*st, SleepState::Signaled);
-        *st = SleepState::Idle;
+        let mut sl = self.inner.lock();
+        debug_assert_eq!(sl.state, SleepState::Signaled);
+        sl.state = SleepState::Idle;
     }
 
     /// Like [`SleepRecord::wait`] but gives up after `timeout` ns.
     pub fn wait_timeout(self: &Arc<Self>, sim: &Arc<Sim>, timeout: Ns) -> WakeReason {
         let me = Sim::current_tid().expect("sleep outside sim thread");
         {
-            let mut st = self.state.lock();
-            match *st {
+            let mut sl = self.inner.lock();
+            match sl.state {
                 SleepState::Signaled => {
-                    *st = SleepState::Idle;
+                    sl.state = SleepState::Idle;
                     return WakeReason::Signaled;
                 }
-                SleepState::Idle => *st = SleepState::Waiting(me),
+                SleepState::Idle => sl.state = SleepState::Waiting(me),
                 SleepState::Waiting(_) => panic!("sleep record already has a waiter"),
             }
+            sl.timer_ran = false;
         }
         let rec = Arc::clone(self);
         let sim2 = Arc::clone(sim);
         let ev = sim.at(timeout, move || {
-            let st = rec.state.lock();
-            if *st == SleepState::Waiting(me) {
+            let mut sl = rec.inner.lock();
+            sl.timer_ran = true;
+            if sl.state == SleepState::Waiting(me) {
                 // Leave the state as-is; the waiter distinguishes timeout
                 // from signal by inspecting it after waking.
                 sim2.wake(me);
             }
         });
         sim.block_current();
-        let mut st = self.state.lock();
-        match *st {
+        let mut sl = self.inner.lock();
+        match sl.state {
             SleepState::Signaled => {
-                *st = SleepState::Idle;
-                sim.cancel(ev);
+                sl.state = SleepState::Idle;
+                if !sl.timer_ran {
+                    sim.cancel(ev);
+                }
                 WakeReason::Signaled
             }
             SleepState::Waiting(t) if t == me => {
-                *st = SleepState::Idle;
+                sl.state = SleepState::Idle;
                 WakeReason::TimedOut
             }
             other => panic!("sleep record in unexpected state {other:?}"),
@@ -593,14 +610,14 @@ impl SleepRecord {
     /// Signals the record, waking the waiter if present; otherwise the
     /// signal is remembered for the next wait.
     pub fn signal(&self, sim: &Sim) {
-        let mut st = self.state.lock();
-        match *st {
+        let mut sl = self.inner.lock();
+        match sl.state {
             SleepState::Waiting(tid) => {
-                *st = SleepState::Signaled;
-                drop(st);
+                sl.state = SleepState::Signaled;
+                drop(sl);
                 sim.wake(tid);
             }
-            SleepState::Idle => *st = SleepState::Signaled,
+            SleepState::Idle => sl.state = SleepState::Signaled,
             SleepState::Signaled => {}
         }
     }
@@ -927,6 +944,29 @@ mod tests {
         });
         sim.run();
         assert_eq!(hits.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_timeout_that_already_ran_is_not_cancelled() {
+        // `b` waits with a timeout; `c` yields until the timer has run
+        // (making `b` ready) and only then signals.  `b` wakes signaled,
+        // but its timer is gone: cancelling it would leave its id in the
+        // cancelled set forever.
+        let sim = Sim::new();
+        let rec = Arc::new(SleepRecord::new());
+        let (r, s) = (Arc::clone(&rec), Arc::clone(&sim));
+        sim.spawn("b", move || {
+            assert_eq!(r.wait_timeout(&s, 100), WakeReason::Signaled);
+        });
+        let (r, s) = (Arc::clone(&rec), Arc::clone(&sim));
+        sim.spawn("c", move || {
+            while s.now() < 100 {
+                s.yield_now();
+            }
+            r.signal(&s);
+        });
+        sim.run();
+        assert!(sim.lock().cancelled.is_empty());
     }
 
     #[test]

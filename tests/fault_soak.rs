@@ -19,8 +19,7 @@
 
 use oskit::com::interfaces::fs::FileSystem;
 use oskit::machine::{
-    AllocFaults, DiskFaults, FaultInjector, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim,
-    WorkSnapshot,
+    AllocFaults, DiskFaults, FaultPlan, FaultSnapshot, IrqFaults, NicFaults, Sim, WorkSnapshot,
 };
 use oskit::netbsd_fs::FfsFileSystem;
 use oskit::{ttcp_run_faulted, KernelBuilder, NetConfig};
@@ -75,10 +74,6 @@ fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot,
 
 #[test]
 fn netstack_survives_seeded_faults_deterministically() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (sf, rf, sw, rw) = netstack_soak_once(0xDEAD_BEEF);
 
     // The plan must actually have bitten, on every class it scripts.
@@ -140,10 +135,6 @@ fn napi_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, Wor
 /// deterministically.
 #[test]
 fn napi_receiver_survives_lost_coalesced_irqs() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (sf, rf, sw, rw) = napi_soak_once(0x0a51_50ac);
 
     // The plan bit: receive-side interrupts actually got lost...
@@ -208,10 +199,6 @@ fn fileserver_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
 
 #[test]
 fn fileserver_survives_seeded_faults_deterministically() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (fl, wk) = fileserver_soak_once(0x5EED_D15C);
 
     // Every scripted disk-fault class fired...
@@ -285,10 +272,6 @@ fn cache_soak_once(seed: u64) -> (FaultSnapshot, WorkSnapshot) {
 
 #[test]
 fn cache_fills_retry_under_disk_faults_and_hits_absorb_them() {
-    if !FaultInjector::enabled() {
-        eprintln!("fault feature compiled out; soak skipped");
-        return;
-    }
     let (fl, wk) = cache_soak_once(0xCAC4_E5EE);
 
     // The plan bit the fill path...
