@@ -20,16 +20,20 @@
 //! LRU over the unpinned blocks only, with dirty victims written back
 //! first; a write-back failure re-inserts the block rather than losing
 //! data.
+//!
+//! The cache keeps no counters of its own: each hit, miss and eviction
+//! is one event on the `bufcache::getblk` row of the [`Tracer`] it was
+//! created with — in a kernel, the machine's ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
-use oskit_machine::{boundary, Machine};
+use oskit_trace::{boundary, EventKind, Tracer};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Bounded retries for a transient device error during a cache fill or
@@ -172,17 +176,6 @@ impl SgBufIo for CachedBlock {}
 
 com_object!(CachedBlock, me, [BlkIo, BufIo, SgBufIo]);
 
-/// A point-in-time copy of a cache's accounting counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Lookups satisfied from memory.
-    pub hits: u64,
-    /// Lookups that filled from the backing device.
-    pub misses: u64,
-    /// Blocks evicted to make room.
-    pub evictions: u64,
-}
-
 struct Entry {
     block: Arc<CachedBlock>,
     used: u64,
@@ -204,16 +197,19 @@ pub struct BufCache {
     block_size: usize,
     max_blocks: usize,
     state: Mutex<CacheState>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    machine: Mutex<Option<Arc<Machine>>>,
+    tracer: Tracer,
 }
 
 impl BufCache {
     /// Creates a cache of `max_blocks` blocks of `block_size` bytes over
-    /// `dev` (minimum 4 blocks, like the donor cache).
-    pub fn new(dev: &Arc<dyn BlkIo>, block_size: usize, max_blocks: usize) -> BufCache {
+    /// `dev` (minimum 4 blocks, like the donor cache) that books its
+    /// hits, misses and evictions on `tracer`.
+    pub fn new(
+        dev: &Arc<dyn BlkIo>,
+        block_size: usize,
+        max_blocks: usize,
+        tracer: &Tracer,
+    ) -> BufCache {
         BufCache {
             dev: Arc::clone(dev),
             block_size,
@@ -222,19 +218,8 @@ impl BufCache {
                 map: HashMap::new(),
                 tick: 0,
             }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            machine: Mutex::new(None),
+            tracer: tracer.clone(),
         }
-    }
-
-    /// Attaches the machine whose [`WorkMeter`](oskit_machine::WorkMeter)
-    /// and trace boundary (`bufcache::getblk`) hit/miss/eviction events
-    /// are charged to.  Without a machine the cache still counts locally
-    /// ([`BufCache::stats`]).
-    pub fn attach_machine(&self, machine: &Arc<Machine>) {
-        *self.machine.lock() = Some(Arc::clone(machine));
     }
 
     /// The backing device.
@@ -245,15 +230,6 @@ impl BufCache {
     /// The cache's uniform block size in bytes.
     pub fn block_size(&self) -> usize {
         self.block_size
-    }
-
-    /// Local accounting counters.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
     }
 
     /// Whether `blkno` is currently resident (test/diagnostic hook; does
@@ -267,25 +243,11 @@ impl BufCache {
         self.state.lock().map.len()
     }
 
-    fn note_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_cache_hit_at(boundary!("bufcache", "getblk"));
-        }
-    }
-
-    fn note_miss(&self) {
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_cache_miss_at(boundary!("bufcache", "getblk"));
-        }
-    }
-
-    fn note_evict(&self) {
-        self.evictions.fetch_add(1, Ordering::Relaxed);
-        if let Some(m) = &*self.machine.lock() {
-            m.note_cache_evict_at(boundary!("bufcache", "getblk"));
-        }
+    /// Books a hit, miss or eviction.  Bookkeeping only: no virtual
+    /// time is charged here (a hit's whole point is the device read it
+    /// avoids; a fill or write-back is charged by the backing `blkio`).
+    fn note(&self, kind: EventKind) {
+        self.tracer.record(boundary!("bufcache", "getblk"), kind);
     }
 
     /// `bread`: returns the cached block for `blkno`, filling it from the
@@ -293,10 +255,10 @@ impl BufCache {
     /// until dropped (`brelse`).
     pub fn bread(&self, blkno: u32) -> Result<Arc<CachedBlock>> {
         if let Some(b) = self.lookup(blkno) {
-            self.note_hit();
+            self.note(EventKind::CacheHit);
             return Ok(b);
         }
-        self.note_miss();
+        self.note(EventKind::CacheMiss);
         let data = self.fill(blkno)?;
         Ok(self.install(blkno, data))
     }
@@ -389,7 +351,7 @@ impl BufCache {
             (block, victims)
         };
         for v in victims {
-            self.note_evict();
+            self.note(EventKind::CacheEvict);
             if v.is_dirty() && self.write_back(&v).is_err() {
                 // Never lose data to a failing device: put the dirty
                 // block back (still dirty) and stay over budget.
@@ -489,10 +451,17 @@ mod tests {
         VecBufIo::from_vec(data) as Arc<dyn BlkIo>
     }
 
+    /// (hits, misses, evictions) on `t`'s `bufcache::getblk` row.
+    fn getblk(t: &Tracer) -> (u64, u64, u64) {
+        let m = *t.metrics().get("bufcache", "getblk").unwrap();
+        (m.cache_hits, m.cache_misses, m.cache_evictions)
+    }
+
     #[test]
     fn bread_fills_and_hits() {
         let dev = ram_dev(16);
-        let c = BufCache::new(&dev, BS, 8);
+        let t = Tracer::new();
+        let c = BufCache::new(&dev, BS, 8, &t);
         let b = c.bread(3).unwrap();
         b.with_map(0, BS, &mut |s| {
             assert!(s.iter().enumerate().all(|(i, &v)| v == ((3 * BS + i) % 251) as u8));
@@ -500,13 +469,32 @@ mod tests {
         .unwrap();
         drop(b);
         let _ = c.bread(3).unwrap();
-        assert_eq!(c.stats(), CacheStats { hits: 1, misses: 1, evictions: 0 });
+        assert_eq!(getblk(&t), (1, 1, 0));
+    }
+
+    /// Each hit, miss and eviction is one event on the `bufcache::getblk`
+    /// row of the tracer the cache was given, and nothing else moves.
+    #[test]
+    fn each_access_is_booked_once_on_the_getblk_row() {
+        let dev = ram_dev(16);
+        let t = Tracer::new();
+        let c = BufCache::new(&dev, BS, 4, &t);
+        for blk in 0..6 {
+            let _ = c.bread(blk).unwrap(); // 6 misses; blocks 0 and 1 evicted.
+        }
+        for blk in 2..6 {
+            let _ = c.bread(blk).unwrap(); // 4 hits.
+        }
+        let _ = c.getblk(9); // An allocation, not a lookup: evicts block 2 only.
+        assert_eq!(getblk(&t), (4, 6, 3));
+        let rows: Vec<_> = t.metrics().nonzero().map(|m| (m.component, m.name)).collect();
+        assert_eq!(rows, [("bufcache", "getblk")]);
     }
 
     #[test]
     fn short_read_is_io_error() {
         let dev = ram_dev(4);
-        let c = BufCache::new(&dev, BS, 8);
+        let c = BufCache::new(&dev, BS, 8, &Tracer::new());
         assert_eq!(c.bread(4).unwrap_err(), Error::Io);
         assert_eq!(c.bread(100).unwrap_err(), Error::Io);
     }
@@ -514,7 +502,8 @@ mod tests {
     #[test]
     fn dirty_blocks_write_back_on_sync_and_evict() {
         let dev = ram_dev(32);
-        let c = BufCache::new(&dev, BS, 4);
+        let t = Tracer::new();
+        let c = BufCache::new(&dev, BS, 4, &t);
         c.bmodify(1, |d| d.fill(0xAA)).unwrap();
         // Evict block 1 by touching 4 others.
         for blk in [2, 3, 4, 5] {
@@ -529,7 +518,7 @@ mod tests {
         c.sync().unwrap();
         assert_eq!(dev.read(&mut buf, 2 * BS as u64).unwrap(), BS);
         assert!(buf.iter().all(|&v| v == 0xBB));
-        assert_eq!(c.stats().evictions, 1);
+        assert_eq!(getblk(&t).2, 1);
     }
 
     #[test]
@@ -559,7 +548,7 @@ mod tests {
         }
         let backing = Arc::new(WriteOnly(Mutex::new(vec![0; 8 * BS])));
         let dev = Arc::clone(&backing) as Arc<dyn BlkIo>;
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         c.bwrite_full(2, &vec![7u8; BS]).unwrap();
         c.sync().unwrap();
         let d = backing.0.lock();
@@ -570,7 +559,7 @@ mod tests {
     #[test]
     fn held_handle_is_never_evicted() {
         let dev = ram_dev(64);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         let held = c.bread(0).unwrap();
         for blk in 1..20 {
             let _ = c.bread(blk).unwrap();
@@ -586,7 +575,7 @@ mod tests {
     #[test]
     fn wired_block_is_never_evicted() {
         let dev = ram_dev(64);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         let b = c.bread(7).unwrap();
         b.wire().unwrap();
         drop(b);
@@ -606,7 +595,7 @@ mod tests {
     #[test]
     fn cached_block_implements_the_full_bufio_lattice() {
         let dev = ram_dev(8);
-        let c = BufCache::new(&dev, BS, 4);
+        let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         let b = c.bread(1).unwrap();
         // Upcast chain: SgBufIo → BufIo → BlkIo, per the interface
         // lattice (COMPONENTS.md).
@@ -658,7 +647,7 @@ mod tests {
             fail_reads: AtomicUsize::new(2),
         });
         let dev = Arc::clone(&flaky) as Arc<dyn BlkIo>;
-        let c = BufCache::new(&dev, BS, 8);
+        let c = BufCache::new(&dev, BS, 8, &Tracer::new());
         let b = c.bread(5).unwrap();
         b.with_map(0, BS, &mut |s| {
             assert!(s.iter().enumerate().all(|(i, &v)| v == ((5 * BS + i) % 251) as u8));
@@ -698,8 +687,9 @@ mod tests {
 
     /// Drives one op sequence, tracking held and wired handles, and
     /// checks the pin invariant after every step.  Returns the final
-    /// resident set plus stats, for cross-run determinism checks.
-    fn drive(c: &BufCache, ops: &[Op]) -> (Vec<u32>, CacheStats) {
+    /// resident set plus the `bufcache::getblk` row of `t` (the tracer
+    /// `c` books on), for cross-run determinism checks.
+    fn drive(c: &BufCache, t: &Tracer, ops: &[Op]) -> (Vec<u32>, (u64, u64, u64)) {
         let mut held: Vec<Arc<CachedBlock>> = Vec::new();
         let mut wired: Vec<Arc<CachedBlock>> = Vec::new();
         for op in ops {
@@ -744,7 +734,7 @@ mod tests {
             st.map.keys().copied().collect()
         };
         resident.sort_unstable();
-        (resident, c.stats())
+        (resident, getblk(t))
     }
 
     proptest! {
@@ -755,8 +745,9 @@ mod tests {
         #[test]
         fn pinned_blocks_survive(ops in proptest::collection::vec(op_strategy(), 1..80)) {
             let dev = ram_dev(24);
-            let c = BufCache::new(&dev, BS, 4);
-            drive(&c, &ops);
+            let t = Tracer::new();
+            let c = BufCache::new(&dev, BS, 4, &t);
+            drive(&c, &t, &ops);
         }
 
         /// LRU order is deterministic: the same op sequence on two caches
@@ -765,9 +756,10 @@ mod tests {
         fn lru_is_deterministic(ops in proptest::collection::vec(op_strategy(), 1..80)) {
             let dev_a = ram_dev(24);
             let dev_b = ram_dev(24);
-            let a = BufCache::new(&dev_a, BS, 4);
-            let b = BufCache::new(&dev_b, BS, 4);
-            prop_assert_eq!(drive(&a, &ops), drive(&b, &ops));
+            let (ta, tb) = (Tracer::new(), Tracer::new());
+            let a = BufCache::new(&dev_a, BS, 4, &ta);
+            let b = BufCache::new(&dev_b, BS, 4, &tb);
+            prop_assert_eq!(drive(&a, &ta, &ops), drive(&b, &tb, &ops));
         }
 
         /// Read-after-evict refills from the device byte-exact, including
@@ -778,7 +770,7 @@ mod tests {
             stamp in 0u8..255,
         ) {
             let dev = ram_dev(16);
-            let c = BufCache::new(&dev, BS, 4);
+            let c = BufCache::new(&dev, BS, 4, &Tracer::new());
             // Stamp one block, then thrash the cache over the rest.
             c.bmodify(blks[0], |d| d.fill(stamp)).unwrap();
             for b in &blks[1..] {

@@ -231,16 +231,10 @@ macro_rules! com_object {
             fn query_any(&self, iid: &$crate::Guid) -> Option<$crate::AnyRef> {
                 let me: ::std::sync::Arc<Self> = self.$self_field.get();
                 if *iid == $crate::IUNKNOWN_IID {
-                    $crate::dispatch::note_query(
-                        <dyn $crate::IUnknown as $crate::ComInterface>::NAME,
-                    );
                     return Some($crate::AnyRef::new::<dyn $crate::IUnknown>(me));
                 }
                 $(
                     if *iid == <dyn $iface as $crate::ComInterface>::IID {
-                        $crate::dispatch::note_query(
-                            <dyn $iface as $crate::ComInterface>::NAME,
-                        );
                         return Some($crate::AnyRef::new::<dyn $iface>(
                             me as ::std::sync::Arc<dyn $iface>,
                         ));

@@ -23,7 +23,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod dispatch;
 mod error;
 mod guid;
 mod iunknown;

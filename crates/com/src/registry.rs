@@ -4,15 +4,8 @@
 //! it exports, which it consumes, and whether its bulk is native OSKit code
 //! or encapsulated donor-OS code — so a client (or the `fig1` harness) can
 //! print the overall structure of an assembled system.
-//!
-//! Beyond descriptions, the registry also holds *live objects*
-//! ([`register_object`]/[`lookup_object`]): named `IUnknown` references a
-//! client can retrieve and `query_interface` without linking against the
-//! provider's concrete types — the OSKit rendezvous point for services
-//! like `oskit_trace`.
 
-use crate::iunknown::IUnknown;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 /// Provenance of a component's implementation (paper Figure 1 legend:
 /// "native OSKit code" vs "encapsulated legacy code").
@@ -83,46 +76,6 @@ pub fn render_structure() -> String {
     out
 }
 
-static OBJECTS: Mutex<Vec<(&'static str, Arc<dyn IUnknown>)>> = Mutex::new(Vec::new());
-
-/// Publishes a live COM object under `name` (idempotent per name:
-/// re-registration replaces).  Clients retrieve it with
-/// [`lookup_object`] and then `query` it for the interfaces they need.
-pub fn register_object(name: &'static str, obj: Arc<dyn IUnknown>) {
-    let mut objs = OBJECTS.lock().expect("poisoned");
-    if let Some(existing) = objs.iter_mut().find(|(n, _)| *n == name) {
-        existing.1 = obj;
-    } else {
-        objs.push((name, obj));
-    }
-}
-
-/// Retrieves a previously published object by name, bumping its
-/// reference count.  Dispatch through the registry is itself counted by
-/// the [`crate::dispatch`] hook as a `registry` lookup.
-pub fn lookup_object(name: &str) -> Option<Arc<dyn IUnknown>> {
-    let found = OBJECTS
-        .lock()
-        .expect("poisoned")
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, o)| Arc::clone(o));
-    if found.is_some() {
-        crate::dispatch::note_query("oskit_registry_lookup");
-    }
-    found
-}
-
-/// Names of every published object, in registration order.
-pub fn object_names() -> Vec<&'static str> {
-    OBJECTS
-        .lock()
-        .expect("poisoned")
-        .iter()
-        .map(|(n, _)| *n)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,29 +117,5 @@ mod tests {
             components().iter().find(|c| c.name == "dup").unwrap().library,
             "b"
         );
-    }
-
-    #[test]
-    fn object_registry_round_trip() {
-        use crate::iunknown::{new_com, SelfRef};
-
-        struct Nothing {
-            me: SelfRef<Nothing>,
-        }
-        crate::com_object!(Nothing, me, []);
-
-        assert!(lookup_object("test_obj_missing").is_none());
-        let obj = new_com(Nothing { me: SelfRef::new() }, |o| &o.me);
-        register_object("test_obj", obj);
-        let got = lookup_object("test_obj").expect("published");
-        assert!(got.interfaces().is_empty());
-        assert!(object_names().contains(&"test_obj"));
-
-        // Re-registration replaces.
-        let obj2 = new_com(Nothing { me: SelfRef::new() }, |o| &o.me);
-        register_object("test_obj", obj2.clone());
-        let got2 = lookup_object("test_obj").unwrap();
-        let got2_unk: Arc<dyn IUnknown> = obj2;
-        assert!(Arc::ptr_eq(&got2, &got2_unk));
     }
 }

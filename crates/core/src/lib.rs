@@ -25,8 +25,8 @@ pub use experiments::{
 };
 pub use kernel::{Kernel, KernelBuilder};
 
-/// The observability substrate (crates/trace): per-boundary metrics,
-/// structured events, and the `oskit_trace` COM interface.
+/// The observability substrate (crates/trace): interned boundaries,
+/// event kinds and the per-machine counter ledger.
 pub use oskit_trace as trace;
 
 /// COM interfaces and machinery (paper §4.4).

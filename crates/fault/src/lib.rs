@@ -14,10 +14,12 @@
 //! * a [`FaultInjector`] handle (one per machine, threaded through
 //!   `oskit-machine`) is consulted by the device models at each fault
 //!   point and by the glue when it recovers, keeping a [`FaultSnapshot`]
-//!   of matched injection/recovery counters;
-//! * the injector is exported as the `oskit_fault` COM interface
-//!   ([`Fault`], IID `oskit_iid(0xC1)`) so a client that was handed
-//!   nothing but the registry can install a plan and read the counters.
+//!   of matched injection/recovery counters.
+//!
+//! There is no process-global injector: a plan reaches a device only
+//! through the injector of the machine that device belongs to
+//! (`Machine::faults`), and the crate depends on no other OSKit
+//! component.
 //!
 //! Injection is always compiled in; installing a plan is what turns it
 //! on.  With no plan installed every decision is "no fault" and only the
@@ -34,13 +36,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod com;
 mod injector;
 mod plan;
 mod rng;
 mod stats;
 
-pub use com::{global, register_com_object, Fault, FaultObj, FAULT_IID};
 pub use injector::{DiskFault, FaultInjector, NicTxFault};
 pub use plan::{AllocFaults, DiskFaults, FaultPlan, IrqFaults, NicFaults};
 pub use rng::SplitMix64;

@@ -41,10 +41,6 @@ pub struct CostModel {
     /// a (address, length) pair instead of copying the fragment — this is
     /// the whole economics of an SG-capable driver.
     pub sg_frag_ns: u64,
-    /// Fixed syscall/entry cost, in nanoseconds (used by the in-kernel
-    /// baselines of §5 which factored syscall overhead *out*; kept at zero
-    /// by default for parity with the paper's methodology).
-    pub syscall_ns: u64,
 }
 
 impl Default for CostModel {
@@ -57,7 +53,6 @@ impl Default for CostModel {
             irq_ns: 5_000,
             poll_ns: 1_500,
             sg_frag_ns: 300,
-            syscall_ns: 0,
         }
     }
 }

@@ -40,22 +40,12 @@ pub struct Machine {
 impl Machine {
     /// Creates a machine with `mem_size` bytes of RAM and default costs.
     pub fn new(sim: &Arc<Sim>, name: impl Into<String>, mem_size: usize) -> Arc<Machine> {
-        Self::with_costs(sim, name, mem_size, CostModel::default())
-    }
-
-    /// Creates a machine with an explicit cost model.
-    pub fn with_costs(
-        sim: &Arc<Sim>,
-        name: impl Into<String>,
-        mem_size: usize,
-        costs: CostModel,
-    ) -> Arc<Machine> {
         Arc::new(Machine {
             name: name.into(),
             sim: Arc::clone(sim),
             phys: PhysMem::new(mem_size),
             irq: Arc::new(IrqController::new()),
-            costs,
+            costs: CostModel::default(),
             meter: WorkMeter::default(),
             faults: FaultInjector::new(),
             clock: AtomicU64::new(0),
@@ -142,13 +132,7 @@ impl Machine {
     }
 
     /// Charges a scatter-gather hand-off of `bytes` bytes in `fragments`
-    /// fragments.  Un-attributed variant of
-    /// [`Machine::charge_gather_at`].
-    pub fn charge_gather(&self, bytes: usize, fragments: usize) {
-        self.charge_gather_at(BoundaryId::UNATTRIBUTED, bytes, fragments);
-    }
-
-    /// Charges a scatter-gather hand-off, attributed to `boundary`.
+    /// fragments, attributed to `boundary`.
     ///
     /// The CPU programs one DMA descriptor per fragment
     /// ([`CostModel::sg_frag_ns`] each); the bytes themselves are moved
@@ -247,27 +231,6 @@ impl Machine {
     /// (bookkeeping only).
     pub fn note_packet_received(&self) {
         self.trace_note(BoundaryId::UNATTRIBUTED, EventKind::PacketReceived);
-    }
-
-    /// Notes a buffer-cache hit at `boundary`.
-    ///
-    /// Bookkeeping only: a hit costs no device I/O and no copy, so the
-    /// clock is untouched — the whole point of the cache is that the
-    /// virtual-time price of the avoided `blkio` read never gets paid.
-    pub fn note_cache_hit_at(&self, boundary: BoundaryId) {
-        self.trace_note(boundary, EventKind::CacheHit);
-    }
-
-    /// Notes a buffer-cache miss at `boundary` (the fill's device read is
-    /// charged by the backing `blkio` itself).
-    pub fn note_cache_miss_at(&self, boundary: BoundaryId) {
-        self.trace_note(boundary, EventKind::CacheMiss);
-    }
-
-    /// Notes a buffer-cache eviction at `boundary` (any dirty write-back
-    /// is charged by the backing `blkio` itself).
-    pub fn note_cache_evict_at(&self, boundary: BoundaryId) {
-        self.trace_note(boundary, EventKind::CacheEvict);
     }
 
     /// Opens a profiling span at `boundary`: until the returned guard is
@@ -369,14 +332,14 @@ mod tests {
         }
         plain.charge_rx_irq_at(BoundaryId::UNATTRIBUTED);
         plain.charge_rx_poll_at(BoundaryId::UNATTRIBUTED, 6);
-        plain.note_cache_hit_at(BoundaryId::UNATTRIBUTED);
-        plain.note_cache_miss_at(BoundaryId::UNATTRIBUTED);
-        plain.note_cache_evict_at(BoundaryId::UNATTRIBUTED);
+        for kind in [EventKind::CacheHit, EventKind::CacheMiss, EventKind::CacheEvict] {
+            plain.trace_note(BoundaryId::UNATTRIBUTED, kind);
+        }
         attributed.charge_rx_irq_at(c);
         attributed.charge_rx_poll_at(c, 6);
-        attributed.note_cache_hit_at(b);
-        attributed.note_cache_miss_at(c);
-        attributed.note_cache_evict_at(c);
+        attributed.trace_note(b, EventKind::CacheHit);
+        attributed.trace_note(c, EventKind::CacheMiss);
+        attributed.trace_note(c, EventKind::CacheEvict);
 
         // Attribution is free: meters and clocks match exactly.
         let snap = attributed.meter.snapshot();

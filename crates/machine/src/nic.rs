@@ -107,7 +107,6 @@ pub struct Nic {
     rx_ring: Mutex<VecDeque<Vec<u8>>>,
     rx_capacity: usize,
     rx_dropped: AtomicU64,
-    tx_count: AtomicU64,
     wire_dropped: AtomicU64,
     /// Frames the driver offered for transmission (includes frames a
     /// wedged transmitter ate).
@@ -157,7 +156,6 @@ impl Nic {
             rx_ring: Mutex::new(VecDeque::new()),
             rx_capacity: 64,
             rx_dropped: AtomicU64::new(0),
-            tx_count: AtomicU64::new(0),
             wire_dropped: AtomicU64::new(0),
             tx_offered: AtomicU64::new(0),
             tx_wire: AtomicU64::new(0),
@@ -237,7 +235,7 @@ impl Nic {
             NicTxFault::None => false,
         };
         // Fault injection: the frame occupies the wire but never arrives.
-        let n = self.tx_count.fetch_add(1, Ordering::Relaxed) + 1;
+        let n = self.tx_wire.fetch_add(1, Ordering::Relaxed) + 1;
         let dropped = injected
             || self
                 .config
@@ -246,7 +244,6 @@ impl Nic {
         if dropped {
             self.wire_dropped.fetch_add(1, Ordering::Relaxed);
         }
-        self.tx_wire.fetch_add(1, Ordering::Relaxed);
         let peer = self.peer.lock().clone();
         let Some(peer) = peer.and_then(|w| w.upgrade()) else {
             return; // Unconnected: frames vanish, like an unplugged cable.
@@ -670,6 +667,34 @@ mod tests {
         // ...and re-arming announces the backlog immediately.
         nb.rx_irq_enable();
         assert_eq!(irqs.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn drop_every_drops_each_nth_frame_on_the_wire() {
+        let sim = Sim::new();
+        let ma = Machine::new(&sim, "a", 4096);
+        let mb = Machine::new(&sim, "b", 4096);
+        let cfg = WireConfig {
+            drop_every: Some(3),
+            ..WireConfig::default()
+        };
+        let na = Nic::with_config(&ma, [2, 0, 0, 0, 0, 1], cfg);
+        let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
+        Nic::connect(&na, &nb);
+        let s2 = Arc::clone(&sim);
+        let na2 = Arc::clone(&na);
+        sim.spawn("tx", move || {
+            for i in 1..=9u8 {
+                na2.transmit(&[i; 64]);
+            }
+            let done = Arc::new(SleepRecord::new());
+            let _ = done.wait_timeout(&s2, 10_000_000);
+        });
+        sim.run();
+        assert_eq!((na.tx_wire(), na.wire_dropped()), (9, 3));
+        // Every third frame occupied the wire but never reached the peer.
+        let got: Vec<u8> = std::iter::from_fn(|| nb.rx_pop()).map(|f| f[0]).collect();
+        assert_eq!(got, [1, 2, 4, 5, 7, 8]);
     }
 
     #[test]

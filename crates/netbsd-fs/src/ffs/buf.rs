@@ -13,7 +13,7 @@ use super::ondisk::BLOCK_SIZE;
 use oskit_bufcache::CachedBlock;
 use oskit_com::interfaces::blkio::BlkIo;
 use oskit_com::Result;
-use oskit_machine::Machine;
+use oskit_machine::Tracer;
 use std::sync::Arc;
 
 /// The file system's buffer cache: donor-idiom closures over the shared
@@ -23,10 +23,11 @@ pub struct BufCache {
 }
 
 impl BufCache {
-    /// Wraps a device with an `max_bufs`-block cache.
-    pub fn new(dev: Arc<dyn BlkIo>, max_bufs: usize) -> BufCache {
+    /// Wraps a device with a `max_bufs`-block cache that books its hits,
+    /// misses and evictions on `tracer`.
+    pub fn new(dev: Arc<dyn BlkIo>, max_bufs: usize, tracer: &Tracer) -> BufCache {
         BufCache {
-            inner: oskit_bufcache::BufCache::new(&dev, BLOCK_SIZE, max_bufs),
+            inner: oskit_bufcache::BufCache::new(&dev, BLOCK_SIZE, max_bufs, tracer),
         }
     }
 
@@ -60,17 +61,6 @@ impl BufCache {
         self.inner.sync()
     }
 
-    /// Cache statistics: (hits, misses).
-    pub fn stats(&self) -> (u64, u64) {
-        let s = self.inner.stats();
-        (s.hits, s.misses)
-    }
-
-    /// Attaches the machine charged for cache hit/miss/eviction events.
-    pub fn attach_machine(&self, machine: &Arc<Machine>) {
-        self.inner.attach_machine(machine);
-    }
-
     /// The underlying device.
     pub fn device(&self) -> &Arc<dyn BlkIo> {
         self.inner.device()
@@ -93,7 +83,7 @@ mod tests {
 
     #[test]
     fn read_back_what_was_written() {
-        let cache = BufCache::new(ram_dev(16), 8);
+        let cache = BufCache::new(ram_dev(16), 8, &Tracer::new());
         cache
             .bmodify(3, |b| b[0..4].copy_from_slice(b"OFS!"))
             .unwrap();
@@ -104,7 +94,7 @@ mod tests {
     #[test]
     fn dirty_blocks_reach_device_only_on_sync() {
         let dev = ram_dev(16);
-        let cache = BufCache::new(Arc::clone(&dev), 8);
+        let cache = BufCache::new(Arc::clone(&dev), 8, &Tracer::new());
         cache.bmodify(2, |b| b[0] = 0xEE).unwrap();
         let mut probe = [0u8; 1];
         dev.read(&mut probe, 2 * BLOCK_SIZE as u64).unwrap();
@@ -117,7 +107,7 @@ mod tests {
     #[test]
     fn eviction_writes_back_dirty_buffers() {
         let dev = ram_dev(64);
-        let cache = BufCache::new(Arc::clone(&dev), 4);
+        let cache = BufCache::new(Arc::clone(&dev), 4, &Tracer::new());
         cache.bmodify(0, |b| b[0] = 1).unwrap();
         // Touch enough other blocks to evict block 0.
         for blk in 1..10 {
@@ -130,35 +120,40 @@ mod tests {
         assert_eq!(cache.bread(0, |b| b[0]).unwrap(), 1);
     }
 
+    /// (hits, misses) on `t`'s `bufcache::getblk` row.
+    fn hits_misses(t: &Tracer) -> (u64, u64) {
+        let m = *t.metrics().get("bufcache", "getblk").unwrap();
+        (m.cache_hits, m.cache_misses)
+    }
+
     #[test]
     fn cache_hits_avoid_device_reads() {
-        let cache = BufCache::new(ram_dev(16), 8);
+        let t = Tracer::new();
+        let cache = BufCache::new(ram_dev(16), 8, &t);
         cache.bread(5, |_| ()).unwrap();
         cache.bread(5, |_| ()).unwrap();
         cache.bread(5, |_| ()).unwrap();
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 2);
+        assert_eq!(hits_misses(&t), (2, 1));
     }
 
     #[test]
     fn bwrite_full_replaces_without_read() {
-        let cache = BufCache::new(ram_dev(16), 8);
+        let t = Tracer::new();
+        let cache = BufCache::new(ram_dev(16), 8, &t);
         cache.bwrite_full(7, &vec![0xAB; BLOCK_SIZE]).unwrap();
         assert_eq!(cache.bread(7, |b| b[100]).unwrap(), 0xAB);
-        let (_, misses) = cache.stats();
-        assert_eq!(misses, 0, "full write must not read the device");
+        assert_eq!(hits_misses(&t).1, 0, "full write must not read the device");
     }
 
     #[test]
     fn out_of_range_read_errors() {
-        let cache = BufCache::new(ram_dev(4), 8);
+        let cache = BufCache::new(ram_dev(4), 8, &Tracer::new());
         assert!(cache.bread(100, |_| ()).is_err());
     }
 
     #[test]
     fn bread_block_lends_the_cache_page_as_bufio() {
-        let cache = BufCache::new(ram_dev(16), 8);
+        let cache = BufCache::new(ram_dev(16), 8, &Tracer::new());
         cache
             .bmodify(4, |b| b[10..14].copy_from_slice(b"page"))
             .unwrap();

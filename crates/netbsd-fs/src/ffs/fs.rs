@@ -9,6 +9,7 @@ use super::ondisk::{
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, VecBufIo};
 use oskit_com::interfaces::fs::FileExtent;
 use oskit_com::{Error, Result};
+use oskit_machine::Tracer;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -31,7 +32,8 @@ impl FsCore {
             return Err(Error::NoSpace);
         }
         let sb = layout(nblocks);
-        let cache = BufCache::new(Arc::clone(dev), 64);
+        let tracer = Tracer::new();
+        let cache = BufCache::new(Arc::clone(dev), 64, &tracer);
         // Zero the metadata region.
         for blk in 0..sb.data_start {
             cache.bwrite_full(blk, &vec![0u8; BLOCK_SIZE])?;
@@ -49,16 +51,17 @@ impl FsCore {
         cache.bwrite_full(0, &sb.encode())?;
         cache.sync()?;
         // Populate "." and ".." through a mounted core.
-        let core = FsCore::mount(dev)?;
+        let core = FsCore::mount(dev, &tracer)?;
         core.dir_enter(ROOT_INO, ".", ROOT_INO)?;
         core.dir_enter(ROOT_INO, "..", ROOT_INO)?;
         core.sync()?;
         Ok(())
     }
 
-    /// Mounts an existing file system.
-    pub fn mount(dev: &Arc<dyn BlkIo>) -> Result<Arc<FsCore>> {
-        let cache = BufCache::new(Arc::clone(dev), 256);
+    /// Mounts an existing file system whose buffer cache books its hits,
+    /// misses and evictions (the superblock read included) on `tracer`.
+    pub fn mount(dev: &Arc<dyn BlkIo>, tracer: &Tracer) -> Result<Arc<FsCore>> {
+        let cache = BufCache::new(Arc::clone(dev), 256, tracer);
         let sb = cache.bread(0, Superblock::decode)?.ok_or(Error::Inval)?;
         Ok(Arc::new(FsCore {
             cache,
@@ -601,7 +604,7 @@ mod tests {
     fn fresh_fs(blocks: usize) -> Arc<FsCore> {
         let dev = VecBufIo::with_len(blocks * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
-        FsCore::mount(&dev).unwrap()
+        FsCore::mount(&dev, &Tracer::new()).unwrap()
     }
 
     #[test]
@@ -725,13 +728,13 @@ mod tests {
         let dev = VecBufIo::with_len(256 * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
         {
-            let fs = FsCore::mount(&dev).unwrap();
+            let fs = FsCore::mount(&dev, &Tracer::new()).unwrap();
             let ino = fs.ialloc(mode::IFREG | 0o644).unwrap();
             fs.file_write(ino, b"survive remount", 0).unwrap();
             fs.dir_enter(ROOT_INO, "persist.txt", ino).unwrap();
             fs.unmount().unwrap();
         }
-        let fs = FsCore::mount(&dev).unwrap();
+        let fs = FsCore::mount(&dev, &Tracer::new()).unwrap();
         let ino = fs.dir_lookup(ROOT_INO, "persist.txt").unwrap().unwrap();
         let mut buf = [0u8; 32];
         let n = fs.file_read(ino, &mut buf, 0).unwrap();

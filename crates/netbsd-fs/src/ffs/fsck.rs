@@ -205,7 +205,7 @@ mod tests {
     fn fresh() -> (Arc<dyn BlkIo>, Arc<FsCore>) {
         let dev = VecBufIo::with_len(512 * BLOCK_SIZE) as Arc<dyn BlkIo>;
         FsCore::mkfs(&dev).unwrap();
-        (Arc::clone(&dev), FsCore::mount(&dev).unwrap())
+        (Arc::clone(&dev), FsCore::mount(&dev, &oskit_machine::Tracer::new()).unwrap())
     }
 
     #[test]

@@ -17,7 +17,7 @@ use oskit_com::interfaces::fs::{
 };
 use oskit_com::{com_object, new_com, Error, IUnknown, Query, Result, SelfRef};
 
-use oskit_machine::Sim;
+use oskit_machine::{Sim, Tracer};
 use oskit_osenv::{OsEnv, ProcessLock};
 use std::sync::Arc;
 
@@ -72,10 +72,10 @@ impl FfsFileSystem {
     }
 
     /// Mounts within a simulated kernel: operations are serialized by a
-    /// component lock and crossings are charged.
+    /// component lock, crossings are charged, and the buffer cache books
+    /// on the machine's ledger.
     pub fn mount_on(env: &Arc<OsEnv>, dev: &Arc<dyn BlkIo>) -> Result<Arc<FfsFileSystem>> {
-        let core = FsCore::mount(dev)?;
-        core.cache().attach_machine(&env.machine);
+        let core = FsCore::mount(dev, env.machine.tracer())?;
         oskit_com::registry::register(oskit_com::registry::ComponentDesc {
             name: "netbsd_fs",
             library: "liboskit_netbsd_fs",
@@ -98,9 +98,10 @@ impl FfsFileSystem {
         ))
     }
 
-    /// Mounts for host-thread use (tests, tools): no locking, no charges.
+    /// Mounts for host-thread use (tests, tools): no locking, no charges,
+    /// and the buffer cache books on a ledger of its own.
     pub fn mount_ram(dev: &Arc<dyn BlkIo>) -> Result<Arc<FfsFileSystem>> {
-        let core = FsCore::mount(dev)?;
+        let core = FsCore::mount(dev, &Tracer::new())?;
         Ok(new_com(
             FfsFileSystem {
                 me: SelfRef::new(),

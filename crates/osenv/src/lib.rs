@@ -187,13 +187,6 @@ impl OsEnv {
     /// Builds an environment with the default memory allocator and a
     /// stderr log sink.
     pub fn new(machine: &Arc<Machine>) -> Arc<OsEnv> {
-        // Environment construction is "boot" for the components above it:
-        // publish the trace and fault services and start counting COM
-        // dispatch here, so any assembled configuration is observable
-        // (and fault-scriptable) from the start.
-        oskit_trace::register_com_object();
-        oskit_trace::instrument_com_dispatch();
-        oskit_fault::register_com_object();
         let mem_size = machine.phys.size();
         Arc::new(OsEnv {
             machine: Arc::clone(machine),

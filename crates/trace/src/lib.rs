@@ -22,11 +22,10 @@
 //!   `WorkMeter` is the field-wise sum of the rows
 //!   ([`TraceReport::total`]), so aggregate and per-boundary numbers
 //!   cannot disagree.
-//! * **The COM export** ([`Trace`], [`TraceObj`],
-//!   [`register_com_object`]) — the OSKit way of exposing a service:
-//!   an interface with its own IID (`oskit_iid(0xC0)`), reachable via
-//!   `query_interface` on an object published in the component
-//!   registry.
+//!
+//! There is no process-global tracer: every ledger belongs to whoever
+//! created it (in practice one per machine), and the crate depends on no
+//! other OSKit component.
 //!
 //! # Usage
 //!
@@ -52,14 +51,12 @@
 #![warn(missing_docs)]
 
 mod boundary;
-mod com;
 mod event;
 mod tracer;
 
 pub use boundary::{
     boundary_count, boundary_info, boundary_info_at, register_boundary, BoundaryId, MAX_BOUNDARIES,
 };
-pub use com::{global, instrument_com_dispatch, register_com_object, Trace, TraceObj, TRACE_IID};
 pub use event::EventKind;
 pub use tracer::{BoundaryMetrics, TraceReport, Tracer};
 

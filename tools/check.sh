@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Tier-1 gate: everything that must stay green.
 #   tools/check.sh           full run
-#   tools/check.sh --fast    skip the release build
+#   tools/check.sh --fast    skip the release build, goldens and perfbench
+#                            smoke run (perfbench is only type-checked)
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -30,6 +31,17 @@ gated=$(grep -rlE --include='*.rs' 'feature *= *"' crates shims tests examples |
 if [ -n "$featured$gated" ]; then
     echo "cargo features declared or read:" >&2
     printf '%s\n' $featured $gated >&2
+    exit 1
+fi
+
+echo "==> trace and fault are leaf crates: no oskit-* dependency"
+# A ledger or injector that depends on another component is how a
+# process-global side domain (a COM-published tracer or fault object)
+# comes back; keep both crates free of it.
+leaf=$(grep -nE '^[[:space:]]*(\[.*dependencies\.)?oskit-' crates/trace/Cargo.toml crates/fault/Cargo.toml || true)
+if [ -n "$leaf" ]; then
+    echo "leaf crate declares an oskit-* dependency:" >&2
+    echo "$leaf" >&2
     exit 1
 fi
 
@@ -74,6 +86,9 @@ if [ "$fast" -eq 0 ]; then
         echo "perfbench: $correct of 3 workloads correct ($results result lines)" >&2
         exit 1
     fi
+else
+    echo "==> cargo check perfbench (the benchmark builds against the public API)"
+    cargo check --offline --manifest-path perfbench/Cargo.toml
 fi
 
 echo "==> cargo doc --no-deps (warnings denied)"
