@@ -11,13 +11,8 @@
 //! copies, crossings and protocol work those paths actually perform (see
 //! DESIGN.md §5).
 
-use oskit_com::interfaces::netio::EtherDev;
-use oskit_com::Query;
-use oskit_freebsd_net::{attach_native_if, ifconfig, open_ether_if, oskit_freebsd_net_init};
-use oskit_linux_dev::linux::inet::LinuxInet;
-use oskit_linux_dev::{LinuxEtherDev, NetDevice};
-use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, Sim, TraceReport, WorkSnapshot};
-use oskit_osenv::OsEnv;
+use crate::testbed::{NodeNet, Stack, Testbed};
+use oskit_machine::{FaultPlan, FaultSnapshot, TraceReport, WorkSnapshot};
 use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -131,9 +126,15 @@ impl NetConfig {
     }
 }
 
-const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
+/// The port ttcp and rtcp connect to.
+const PORT: u16 = 5001;
+
+/// The payload byte at stream offset `at`: a position pattern whose
+/// period (251, prime) no block or segment size divides, so a receiver
+/// can check every byte of what it got.
+fn pattern_byte(at: usize) -> u8 {
+    (at % 251) as u8
+}
 
 /// The result of one ttcp run.
 #[derive(Clone, Debug)]
@@ -176,148 +177,64 @@ pub struct RtcpResult {
     pub server_boundaries: TraceReport,
 }
 
-/// An abstract connected byte pipe: lets one driver routine run over all
-/// three stacks' socket flavors.
-trait Pipe: Send + Sync {
-    fn send(&self, buf: &[u8]) -> usize;
-    fn recv(&self, buf: &mut [u8]) -> usize;
-    fn close(&self);
+/// A connected TCP socket of either stack: lets one driver routine run
+/// over all three configurations.
+enum Pipe {
+    Bsd(Arc<oskit_freebsd_net::TcpSock>),
+    Linux(Arc<oskit_linux_dev::LinuxSock>),
 }
 
-struct BsdPipe(Arc<oskit_freebsd_net::TcpSock>);
-impl Pipe for BsdPipe {
-    fn send(&self, buf: &[u8]) -> usize {
-        self.0.send(buf).expect("send")
-    }
-    fn recv(&self, buf: &mut [u8]) -> usize {
-        self.0.recv(buf).expect("recv")
-    }
-    fn close(&self) {
-        self.0.close();
-    }
-}
-
-struct LinuxPipe(Arc<oskit_linux_dev::LinuxSock>);
-impl Pipe for LinuxPipe {
-    fn send(&self, buf: &[u8]) -> usize {
-        self.0.send(buf).expect("send")
-    }
-    fn recv(&self, buf: &mut [u8]) -> usize {
-        self.0.recv(buf).expect("recv")
-    }
-    fn close(&self) {
-        self.0.close();
-    }
-}
-
-/// A testbed: two machines wired together with connect/accept hooks.
-struct Testbed {
-    sim: Arc<Sim>,
-    machine_a: Arc<Machine>,
-    machine_b: Arc<Machine>,
-    /// Accepts one connection on port 5001 (runs on a sim thread).
-    accept: Box<dyn FnOnce() -> Box<dyn Pipe> + Send>,
-    /// Connects to 10.0.0.2:5001 (runs on a sim thread).
-    connect: Box<dyn FnOnce() -> Box<dyn Pipe> + Send>,
-    /// Keeps stacks and devices alive for the run (components hold only
-    /// weak back-references, as the real ones hold raw pointers).
-    _keep: Vec<Box<dyn std::any::Any + Send + Sync>>,
-}
-
-fn build(sender_cfg: NetConfig, receiver_cfg: NetConfig) -> Testbed {
-    let sim = Sim::new();
-    sim.set_time_limit(10_000_000_000_000); // 10000 s: full-size runs fit.
-    let ma = Machine::new(&sim, "sender", 1 << 22);
-    let mb = Machine::new(&sim, "receiver", 1 << 22);
-    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 1]);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let mut keep: Vec<Box<dyn std::any::Any + Send + Sync>> = Vec::new();
-
-    // Per-side stack construction.  `server` decides whether this side
-    // accepts (receiver) or connects (sender).
-    let mut make_side = |cfg: NetConfig,
-                         env: &Arc<OsEnv>,
-                         nic: &Arc<Nic>,
-                         ip: Ipv4Addr,
-                         server: bool|
-     -> Box<dyn FnOnce() -> Box<dyn Pipe> + Send> {
-        match cfg.kind() {
-            StackKind::FreeBsd | StackKind::OsKit => {
-                let (net, _) = oskit_freebsd_net_init(env);
-                if cfg.kind() == StackKind::FreeBsd {
-                    let ifp = attach_native_if(&net, nic);
-                    ifconfig(&ifp, ip, MASK);
-                } else {
-                    let dev = NetDevice::new("eth0", env, Arc::clone(nic));
-                    if cfg.has_sg() {
-                        dev.set_features(oskit_linux_dev::NETIF_F_SG);
-                    }
-                    if cfg.has_napi() {
-                        dev.set_features(oskit_linux_dev::NETIF_F_NAPI);
-                    }
-                    let com = LinuxEtherDev::new(env, &dev);
-                    let ether: Arc<dyn EtherDev> =
-                        com.query::<dyn EtherDev>().expect("etherdev");
-                    let ifp = open_ether_if(&net, &ether).expect("open");
-                    ifconfig(&ifp, ip, MASK);
-                    keep.push(Box::new((dev, com, ifp)));
-                }
-                let net2 = Arc::clone(&net);
-                keep.push(Box::new(net));
-                if server {
-                    Box::new(move || {
-                        let ls = oskit_freebsd_net::TcpSock::new(&net2);
-                        ls.bind(Ipv4Addr::UNSPECIFIED, 5001).unwrap();
-                        ls.listen(1).unwrap();
-                        let (conn, _) = ls.accept().unwrap();
-                        Box::new(BsdPipe(conn)) as Box<dyn Pipe>
-                    })
-                } else {
-                    Box::new(move || {
-                        let s = oskit_freebsd_net::TcpSock::new(&net2);
-                        s.connect(IP_B, 5001).unwrap();
-                        Box::new(BsdPipe(s)) as Box<dyn Pipe>
-                    })
-                }
+impl Pipe {
+    /// Listens on `port` and accepts one connection (runs on a sim thread).
+    fn accept(stack: &Stack, port: u16) -> Pipe {
+        match stack {
+            Stack::Bsd(net, _) => {
+                let ls = oskit_freebsd_net::TcpSock::new(net);
+                ls.bind(Ipv4Addr::UNSPECIFIED, port).unwrap();
+                ls.listen(1).unwrap();
+                Pipe::Bsd(ls.accept().unwrap().0)
             }
-            StackKind::Linux => {
-                let dev = NetDevice::new("eth0", env, Arc::clone(nic));
-                let inet = LinuxInet::attach(env, &dev, ip, MASK);
-                let inet2 = Arc::clone(&inet);
-                keep.push(Box::new((dev, inet)));
-                if server {
-                    Box::new(move || {
-                        let ls = inet2.socket();
-                        ls.bind(5001).unwrap();
-                        ls.listen(1).unwrap();
-                        let conn = ls.accept().unwrap();
-                        Box::new(LinuxPipe(conn)) as Box<dyn Pipe>
-                    })
-                } else {
-                    Box::new(move || {
-                        let s = inet2.socket();
-                        s.connect(IP_B, 5001).unwrap();
-                        Box::new(LinuxPipe(s)) as Box<dyn Pipe>
-                    })
-                }
+            Stack::Linux(inet) => {
+                let ls = inet.socket();
+                ls.bind(port).unwrap();
+                ls.listen(1).unwrap();
+                Pipe::Linux(ls.accept().unwrap())
             }
         }
-    };
-    let connect = make_side(sender_cfg, &ea, &na, IP_A, false);
-    let accept = make_side(receiver_cfg, &eb, &nb, IP_B, true);
+    }
 
-    ma.irq.enable();
-    mb.irq.enable();
-    Testbed {
-        sim,
-        machine_a: ma,
-        machine_b: mb,
-        accept,
-        connect,
-        _keep: keep,
+    /// Connects to `to:port` (runs on a sim thread).
+    fn connect(stack: &Stack, to: Ipv4Addr, port: u16) -> Pipe {
+        let pipe = match stack {
+            Stack::Bsd(net, _) => Pipe::Bsd(oskit_freebsd_net::TcpSock::new(net)),
+            Stack::Linux(inet) => Pipe::Linux(inet.socket()),
+        };
+        match &pipe {
+            Pipe::Bsd(s) => s.connect(to, port).unwrap(),
+            Pipe::Linux(s) => s.connect(to, port).unwrap(),
+        }
+        pipe
+    }
+
+    fn send(&self, buf: &[u8]) -> usize {
+        match self {
+            Pipe::Bsd(s) => s.send(buf).expect("send"),
+            Pipe::Linux(s) => s.send(buf).expect("send"),
+        }
+    }
+
+    fn recv(&self, buf: &mut [u8]) -> usize {
+        match self {
+            Pipe::Bsd(s) => s.recv(buf).expect("recv"),
+            Pipe::Linux(s) => s.recv(buf).expect("recv"),
+        }
+    }
+
+    fn close(&self) {
+        match self {
+            Pipe::Bsd(s) => s.close(),
+            Pipe::Linux(s) => s.close(),
+        }
     }
 }
 
@@ -340,7 +257,7 @@ pub fn ttcp_run_mixed(
 }
 
 /// Runs ttcp with a scripted fault plan installed on *both* machines —
-/// the robustness ablation.  The receiver still asserts a byte-exact
+/// the robustness ablation.  The receiver checks every byte of the
 /// transfer, so a passing run proves every injected fault was absorbed
 /// by the stack's own recovery machinery.  `None` is the plain run.
 pub fn ttcp_run_faulted(
@@ -350,24 +267,27 @@ pub fn ttcp_run_faulted(
     block_size: usize,
     plan: Option<FaultPlan>,
 ) -> TtcpResult {
-    let tb = build(sender, receiver);
+    let tb = Testbed::new(NodeNet::Stack(sender), NodeNet::Stack(receiver));
     if let Some(plan) = plan {
-        tb.machine_a.faults().install(plan);
-        tb.machine_b.faults().install(plan);
+        tb.a.machine.faults().install(plan);
+        tb.b.machine.faults().install(plan);
     }
     let total = blocks * block_size;
     let finish = Arc::new(Mutex::new(0u64));
     let f2 = Arc::clone(&finish);
-    let mb = Arc::clone(&tb.machine_b);
-    let accept = tb.accept;
+    let mb = Arc::clone(&tb.b.machine);
+    let rx = tb.b.stack().clone();
     tb.sim.spawn("ttcp-r", move || {
-        let pipe = accept();
+        let pipe = Pipe::accept(&rx, PORT);
         let mut buf = vec![0u8; 65536];
         let mut got = 0usize;
         loop {
             let n = pipe.recv(&mut buf);
             if n == 0 {
                 break;
+            }
+            for (i, &b) in buf[..n].iter().enumerate() {
+                assert_eq!(b, pattern_byte(got + i), "corrupt byte at {}", got + i);
             }
             got += n;
         }
@@ -377,11 +297,15 @@ pub fn ttcp_run_faulted(
         let mut d = [0u8; 256];
         while pipe.recv(&mut d) != 0 {}
     });
-    let connect = tb.connect;
+    let tx = tb.a.stack().clone();
+    let to = tb.b.ip;
     tb.sim.spawn("ttcp-t", move || {
-        let pipe = connect();
-        let block = vec![0x55u8; block_size];
-        for _ in 0..blocks {
+        let pipe = Pipe::connect(&tx, to, PORT);
+        // One period of slack lets every block be a slice of one buffer.
+        let pattern: Vec<u8> = (0..block_size + 251).map(pattern_byte).collect();
+        for blk in 0..blocks {
+            let at = pattern_byte(blk * block_size) as usize;
+            let block = &pattern[at..at + block_size];
             let mut sent = 0;
             while sent < block.len() {
                 sent += pipe.send(&block[sent..]);
@@ -391,28 +315,28 @@ pub fn ttcp_run_faulted(
         let mut d = [0u8; 256];
         while pipe.recv(&mut d) != 0 {}
     });
-    tb.sim.run();
+    let (a, b) = tb.finish();
     let elapsed = *finish.lock();
     TtcpResult {
         bytes: total as u64,
         elapsed_ns: elapsed,
         mbit_s: total as f64 * 8.0 / (elapsed as f64 / 1e9) / 1e6,
-        sender: tb.machine_a.meter.snapshot(),
-        receiver: tb.machine_b.meter.snapshot(),
-        sender_boundaries: tb.machine_a.tracer().metrics(),
-        receiver_boundaries: tb.machine_b.tracer().metrics(),
-        sender_faults: tb.machine_a.faults().stats(),
-        receiver_faults: tb.machine_b.faults().stats(),
+        sender: a.work,
+        receiver: b.work,
+        sender_boundaries: a.boundaries,
+        receiver_boundaries: b.boundaries,
+        sender_faults: a.faults,
+        receiver_faults: b.faults,
     }
 }
 
 /// Runs rtcp: `round_trips` one-byte ping-pongs (paper Table 2).
 pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
-    let tb = build(config, config);
+    let tb = Testbed::new(NodeNet::Stack(config), NodeNet::Stack(config));
     let elapsed = Arc::new(Mutex::new(0u64));
-    let accept = tb.accept;
+    let server = tb.b.stack().clone();
     tb.sim.spawn("rtcp-server", move || {
-        let pipe = accept();
+        let pipe = Pipe::accept(&server, PORT);
         let mut b = [0u8; 1];
         loop {
             if pipe.recv(&mut b) == 0 {
@@ -422,31 +346,33 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
         }
         pipe.close();
     });
-    let connect = tb.connect;
-    let ma = Arc::clone(&tb.machine_a);
+    let client = tb.a.stack().clone();
+    let to = tb.b.ip;
+    let ma = Arc::clone(&tb.a.machine);
     let e2 = Arc::clone(&elapsed);
     tb.sim.spawn("rtcp-client", move || {
-        let pipe = connect();
+        let pipe = Pipe::connect(&client, to, PORT);
         let start = ma.cpu_now();
-        let mut b = [1u8; 1];
-        for _ in 0..round_trips {
-            pipe.send(&b);
+        let mut b = [0u8; 1];
+        for i in 0..round_trips {
+            pipe.send(&[pattern_byte(i)]);
             assert_eq!(pipe.recv(&mut b), 1);
+            assert_eq!(b[0], pattern_byte(i), "wrong echo on round trip {i}");
         }
         *e2.lock() = ma.cpu_now() - start;
         pipe.close();
         let mut d = [0u8; 16];
         while pipe.recv(&mut d) != 0 {}
     });
-    tb.sim.run();
+    let (client, server) = tb.finish();
     let total_ns = *elapsed.lock();
     RtcpResult {
         round_trips: round_trips as u64,
         rtt_us: total_ns as f64 / round_trips as f64 / 1000.0,
-        client: tb.machine_a.meter.snapshot(),
-        server: tb.machine_b.meter.snapshot(),
-        client_boundaries: tb.machine_a.tracer().metrics(),
-        server_boundaries: tb.machine_b.tracer().metrics(),
+        client: client.work,
+        server: server.work,
+        client_boundaries: client.boundaries,
+        server_boundaries: server.boundaries,
     }
 }
 
@@ -501,66 +427,39 @@ pub struct FileServeResult {
 /// driver.  The client asserts the payload is byte-exact, so a passing
 /// sendfile run proves the lent cache pages carried the right bytes.
 pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
-    use oskit_com::interfaces::blkio::BlkIo;
     use oskit_com::interfaces::fs::FileSystem;
     use oskit_com::interfaces::socket::{Domain, Shutdown, SockAddr, SockType};
-    use oskit_machine::{Disk, SleepRecord, SECTOR_SIZE};
+    use oskit_machine::{SleepRecord, SECTOR_SIZE};
     use oskit_netbsd_fs::FfsFileSystem;
 
     let size = kib * 1024;
-    let sim = Sim::new();
-    sim.set_time_limit(10_000_000_000_000);
-    let ms = Machine::new(&sim, "server", 1 << 22);
-    let mc = Machine::new(&sim, "client", 1 << 22);
-    let nsrv = Nic::new(&ms, [2, 0, 0, 0, 0, 2]);
-    let ncli = Nic::new(&mc, [2, 0, 0, 0, 0, 1]);
-    Nic::connect(&nsrv, &ncli);
-    let es = OsEnv::new(&ms);
-    let ec = OsEnv::new(&mc);
-
-    // Server hardware: an IDE disk behind the encapsulated Linux driver
+    // Server (node a): an IDE disk behind the encapsulated Linux driver
     // (sized for the payload plus file-system metadata), and an Ethernet
     // device — SG-capable in sendfile mode, since the gather path needs
-    // hardware that can follow fragment lists.
-    let sectors = size / SECTOR_SIZE + 8192;
-    let disk = Disk::new(&ms, sectors);
-    let drive = oskit_linux_dev::linux::blkdev::IdeDrive::new("hda", &es, disk);
-    let blkio = oskit_linux_dev::LinuxBlkIo::new(&es, &drive) as Arc<dyn BlkIo>;
-    let dev = NetDevice::new("eth0", &es, Arc::clone(&nsrv));
-    if mode == ServeMode::Sendfile {
-        dev.set_features(oskit_linux_dev::NETIF_F_SG);
-    }
-    let (snet, sf) = oskit_freebsd_net_init(&es);
-    let com = LinuxEtherDev::new(&es, &dev);
-    let ether: Arc<dyn EtherDev> = com.query::<dyn EtherDev>().expect("etherdev");
-    let sif = open_ether_if(&snet, &ether).expect("open");
-    ifconfig(&sif, IP_B, MASK);
-
-    // Client: native FreeBSD.
-    let (cnet, _csf) = oskit_freebsd_net_init(&ec);
-    let cif = attach_native_if(&cnet, &ncli);
-    ifconfig(&cif, IP_A, MASK);
-    ms.irq.enable();
-    mc.irq.enable();
+    // hardware that can follow fragment lists.  Client (node b): native
+    // FreeBSD.
+    let server_net = NetConfig::oskit().sg(mode == ServeMode::Sendfile);
+    let mut tb = Testbed::new(NodeNet::Stack(server_net), NodeNet::Stack(NetConfig::freebsd()));
+    let blkio = tb.a.add_disk(size / SECTOR_SIZE + 8192);
 
     // The client must not connect before the server's disk prep is done
     // and the listener is up.
     let ready = Arc::new(SleepRecord::new());
     let done = Arc::new(Mutex::new((0u64, 0u64)));
 
-    let sim_s = Arc::clone(&sim);
-    let ms2 = Arc::clone(&ms);
+    let sim_s = Arc::clone(&tb.sim);
+    let ms2 = Arc::clone(&tb.a.machine);
+    let es = Arc::clone(&tb.a.env);
+    let sf = Arc::clone(tb.a.sockets());
     let ready_s = Arc::clone(&ready);
-    let keep_s = (snet, sif, com, dev, drive);
-    sim.spawn("fileserve-server", move || {
-        let _keep = keep_s;
+    tb.sim.spawn("fileserve-server", move || {
         // Build the volume: a deterministic payload, synced out.
         FfsFileSystem::mkfs(&blkio).expect("mkfs");
         {
             let fs = FfsFileSystem::mount_on(&es, &blkio).expect("mount");
             let root = fs.getroot().expect("root");
             let f = root.create("payload", true, 0o644).expect("create");
-            let data: Vec<u8> = (0..size).map(|i| (i % 251) as u8).collect();
+            let data: Vec<u8> = (0..size).map(pattern_byte).collect();
             let mut off = 0;
             while off < size {
                 off += f.write_at(&data[off..], off as u64).expect("write");
@@ -618,14 +517,15 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         FileSystem::sync(&*fs).expect("sync");
     });
 
-    let sim_c = Arc::clone(&sim);
-    let mc2 = Arc::clone(&mc);
+    let sim_c = Arc::clone(&tb.sim);
+    let mc2 = Arc::clone(&tb.b.machine);
+    let cnet = Arc::clone(tb.b.bsd());
+    let to = tb.a.ip;
     let done_c = Arc::clone(&done);
-    sim.spawn("fileserve-client", move || {
-        let _keep = (cif,);
+    tb.sim.spawn("fileserve-client", move || {
         ready.wait(&sim_c);
         let s = oskit_freebsd_net::TcpSock::new(&cnet);
-        s.connect(IP_B, 7070).expect("connect");
+        s.connect(to, 7070).expect("connect");
         let start = mc2.cpu_now();
         let mut buf = vec![0u8; 65536];
         let mut got = 0usize;
@@ -638,7 +538,7 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
             // never copied between the cache page and the wire, so this
             // is the end-to-end proof the lent pages carried the data.
             for (i, &b) in buf[..n].iter().enumerate() {
-                assert_eq!(b, ((got + i) % 251) as u8, "corrupt byte at {}", got + i);
+                assert_eq!(b, pattern_byte(got + i), "corrupt byte at {}", got + i);
             }
             got += n;
         }
@@ -650,15 +550,15 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         while s.recv(&mut d).unwrap_or(0) != 0 {}
     });
 
-    sim.run();
+    let (server, client) = tb.finish();
     let (bytes, elapsed_ns) = *done.lock();
     FileServeResult {
         bytes,
         elapsed_ns,
         mbit_s: bytes as f64 * 8.0 / (elapsed_ns as f64 / 1e9) / 1e6,
-        server: ms.meter.snapshot(),
-        client: mc.meter.snapshot(),
-        server_boundaries: ms.tracer().metrics(),
+        server: server.work,
+        client: client.work,
+        server_boundaries: server.boundaries,
     }
 }
 

@@ -8,7 +8,9 @@
 //! This facade crate re-exports every component library under the paper's
 //! Table 3 names and provides [`KernelBuilder`], the few-lines-of-code
 //! path from nothing to a booted kernel with console, POSIX environment,
-//! drivers and networking (§6.2.9's "twenty-line kernels").
+//! drivers and networking (§6.2.9's "twenty-line kernels"), and
+//! [`testbed`], the §5 pair of machines on one wire that every
+//! experiment and two-machine test is built on.
 //!
 //! The individual components remain fully separable — depend on the
 //! `oskit-*` crates directly to take only what you need, exactly as the
@@ -18,6 +20,7 @@
 
 pub mod experiments;
 pub mod kernel;
+pub mod testbed;
 
 pub use experiments::{
     fileserve_run, rtcp_run, ttcp_run, ttcp_run_faulted, ttcp_run_mixed, FileServeResult,

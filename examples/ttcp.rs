@@ -83,7 +83,4 @@ Figure 3: structure of the ttcp/rtcp example kernels
   fdev_ethernet device --- simulated NIC --- 100 Mbit/s wire
 "
     );
-    for c in oskit::com::registry::components() {
-        let _ = c;
-    }
 }

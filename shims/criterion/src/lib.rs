@@ -3,8 +3,9 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors this minimal API-compatible subset: enough for the
 //! `oskit-bench` benches to compile and produce useful wall-clock numbers
-//! with `cargo bench`.  No statistics, plots, or baselines — each bench
-//! reports the best observed iteration time over a few measured batches.
+//! with `cargo bench`.  No plots or baselines — each bench reports the
+//! median, the minimum and the interquartile range of its timed samples,
+//! since one host-time sample on a shared machine says little.
 
 #![forbid(unsafe_code)]
 
@@ -90,40 +91,60 @@ impl BenchmarkId {
 /// Drives one benchmark's timed iterations.
 pub struct Bencher {
     samples: usize,
-    best: Duration,
-    iters_done: u64,
+    times: Vec<Duration>,
 }
 
 impl Bencher {
-    /// Times `f`, recording the best per-iteration duration over a few
-    /// measured batches.
+    /// Times `f` once per sample, after one warm-up call.
     pub fn iter<R>(&mut self, mut f: impl FnMut() -> R) {
-        // Warm-up.
         black_box(f());
-        let mut best = Duration::MAX;
+        self.times.clear();
         for _ in 0..self.samples {
             let start = Instant::now();
             black_box(f());
-            let dt = start.elapsed();
-            self.iters_done += 1;
-            if dt < best {
-                best = dt;
-            }
+            self.times.push(start.elapsed());
         }
-        self.best = best;
     }
+
+    /// The median, minimum and interquartile range of the samples.
+    pub fn summary(&self) -> Summary {
+        let mut t = self.times.clone();
+        t.sort_unstable();
+        let at = |q: usize| t.get((t.len().max(1) - 1) * q / 4).copied().unwrap_or_default();
+        Summary {
+            median: at(2),
+            min: at(0),
+            iqr: at(3) - at(1),
+        }
+    }
+}
+
+/// Per-iteration statistics over one benchmark's samples (nearest-rank
+/// quartiles).
+#[derive(Clone, Copy, Debug)]
+pub struct Summary {
+    /// The middle sample.
+    pub median: Duration,
+    /// The fastest sample.
+    pub min: Duration,
+    /// Third quartile minus first quartile: the spread.
+    pub iqr: Duration,
 }
 
 fn run_bench(id: &str, samples: usize, mut f: impl FnMut(&mut Bencher)) {
     let mut b = Bencher {
         samples,
-        best: Duration::ZERO,
-        iters_done: 0,
+        times: Vec::new(),
     };
     f(&mut b);
+    let s = b.summary();
     println!(
-        "bench {:50} best {:>12.3?}  ({} iters)",
-        id, b.best, b.iters_done
+        "bench {:50} median {:>12.3?}  min {:>12.3?}  iqr {:>12.3?}  ({} samples)",
+        id,
+        s.median,
+        s.min,
+        s.iqr,
+        b.times.len()
     );
 }
 
@@ -166,5 +187,23 @@ mod tests {
         });
         g.finish();
         assert!(ran >= 3);
+    }
+
+    #[test]
+    fn summary_orders_min_median_and_spread() {
+        let mut b = Bencher {
+            samples: 5,
+            times: Vec::new(),
+        };
+        b.iter(|| black_box(1 + 1));
+        assert_eq!(b.times.len(), 5);
+        let s = b.summary();
+        assert!(s.min <= s.median);
+        // Fixed samples: nearest-rank quartiles of 1..=5 ms.
+        b.times = [5, 1, 4, 2, 3].map(Duration::from_millis).to_vec();
+        let s = b.summary();
+        assert_eq!(s.min, Duration::from_millis(1));
+        assert_eq!(s.median, Duration::from_millis(3));
+        assert_eq!(s.iqr, Duration::from_millis(2));
     }
 }

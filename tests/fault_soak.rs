@@ -60,7 +60,7 @@ fn fileserver_plan(seed: u64) -> FaultPlan {
 }
 
 /// One faulted ttcp transfer; byte-exactness is asserted inside the
-/// harness (the receiver counts every byte).
+/// harness (the receiver checks every byte against the sent pattern).
 fn netstack_soak_once(seed: u64) -> (FaultSnapshot, FaultSnapshot, WorkSnapshot, WorkSnapshot) {
     let r = ttcp_run_faulted(
         NetConfig::oskit(),

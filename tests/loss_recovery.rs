@@ -3,15 +3,18 @@
 //! duplicate ACKs — to actually run, and the transfer must still be
 //! byte-exact.
 
-use oskit_freebsd_net::{attach_native_if, ifconfig, oskit_freebsd_net_init, TcpSock};
-use oskit_machine::{FaultPlan, FaultSnapshot, Machine, Nic, NicFaults, Sim, WireConfig};
-use oskit_osenv::OsEnv;
+use oskit::freebsd_net::TcpSock;
+use oskit::machine::{FaultPlan, FaultSnapshot, NicFaults, WireConfig};
+use oskit::testbed::{NodeNet, Testbed, IP_B};
+use oskit::NetConfig;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
-const IP_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const IP_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
-const MASK: Ipv4Addr = Ipv4Addr::new(255, 255, 255, 0);
+/// Native FreeBSD on both machines, `wire_a` and `wire_b` on each NIC.
+fn native_pair(wire_a: WireConfig, wire_b: WireConfig) -> Testbed {
+    let bsd = NodeNet::Stack(NetConfig::freebsd());
+    Testbed::with_wire(bsd, bsd, wire_a, wire_b)
+}
 
 /// Which direction the wire eats frames in.
 #[derive(Clone, Copy)]
@@ -33,38 +36,20 @@ fn lossy_transfer_cfg(
     plan: Option<FaultPlan>,
     total: usize,
 ) -> (u64, u64, u64, FaultSnapshot) {
-    let sim = Sim::new();
-    // Loss recovery leans on 1-second RTOs; give it room.
-    sim.set_time_limit(5_000_000_000_000);
-    let ma = Machine::new(&sim, "a", 1 << 21);
-    let mb = Machine::new(&sim, "b", 1 << 21);
     let cfg = WireConfig {
         drop_every,
         ..WireConfig::default()
     };
-    let (cfg_a, cfg_b) = match dir {
-        LossDir::Data => (cfg, WireConfig::default()),
-        LossDir::Ack => (WireConfig::default(), cfg),
+    let tb = match dir {
+        LossDir::Data => native_pair(cfg, WireConfig::default()),
+        LossDir::Ack => native_pair(WireConfig::default(), cfg),
     };
-    let na = Nic::with_config(&ma, [2, 0, 0, 0, 0, 1], cfg_a);
-    let nb = Nic::with_config(&mb, [2, 0, 0, 0, 0, 2], cfg_b);
     if let Some(plan) = plan {
-        ma.faults().install(plan);
+        tb.a.machine.faults().install(plan);
     }
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let (net_a, _) = oskit_freebsd_net_init(&ea);
-    let (net_b, _) = oskit_freebsd_net_init(&eb);
-    let ifa = attach_native_if(&net_a, &na);
-    let ifb = attach_native_if(&net_b, &nb);
-    ifconfig(&ifa, IP_A, MASK);
-    ifconfig(&ifb, IP_B, MASK);
-    ma.irq.enable();
-    mb.irq.enable();
-
-    let nb2 = Arc::clone(&net_b);
-    sim.spawn("server", move || {
+    let (na, nb) = (Arc::clone(&tb.a.nic), Arc::clone(&tb.b.nic));
+    let nb2 = Arc::clone(tb.b.bsd());
+    tb.sim.spawn("server", move || {
         let ls = TcpSock::new(&nb2);
         ls.bind(Ipv4Addr::UNSPECIFIED, 5001).unwrap();
         ls.listen(1).unwrap();
@@ -88,10 +73,10 @@ fn lossy_transfer_cfg(
         let mut d = [0u8; 64];
         while conn.recv(&mut d).unwrap() != 0 {}
     });
-    let na2 = Arc::clone(&net_a);
+    let na2 = Arc::clone(tb.a.bsd());
     let sent_stats = Arc::new(std::sync::Mutex::new((0u64, 0u64)));
     let ss = Arc::clone(&sent_stats);
-    sim.spawn("client", move || {
+    tb.sim.spawn("client", move || {
         let s = TcpSock::new(&na2);
         s.connect(IP_B, 5001).unwrap();
         let mut next = 0u8;
@@ -109,9 +94,9 @@ fn lossy_transfer_cfg(
         while s.recv(&mut d).unwrap() != 0 {}
         *ss.lock().unwrap() = s.seg_stats();
     });
-    sim.run();
+    let (a, _) = tb.finish();
     let (tx, _) = *sent_stats.lock().unwrap();
-    (tx, na.wire_dropped(), nb.wire_dropped(), ma.faults().stats())
+    (tx, na.wire_dropped(), nb.wire_dropped(), a.faults)
 }
 
 /// The original shape: periodic loss on the data direction.
@@ -188,29 +173,14 @@ fn survives_seeded_burst_drops() {
 fn handshake_survives_syn_loss() {
     // Drop the very first frame (the SYN): connect must retransmit it
     // after the RTO and still succeed.
-    let sim = Sim::new();
-    sim.set_time_limit(5_000_000_000_000);
-    let ma = Machine::new(&sim, "a", 1 << 20);
-    let mb = Machine::new(&sim, "b", 1 << 20);
     let cfg = WireConfig {
         drop_every: Some(2), // First ARP survives... every 2nd frame dies.
         ..WireConfig::default()
     };
-    let na = Nic::with_config(&ma, [2, 0, 0, 0, 0, 1], cfg);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let (net_a, _) = oskit_freebsd_net_init(&ea);
-    let (net_b, _) = oskit_freebsd_net_init(&eb);
-    let ifa = attach_native_if(&net_a, &na);
-    let ifb = attach_native_if(&net_b, &nb);
-    ifconfig(&ifa, IP_A, MASK);
-    ifconfig(&ifb, IP_B, MASK);
-    ma.irq.enable();
-    mb.irq.enable();
-    let nb2 = Arc::clone(&net_b);
-    sim.spawn("server", move || {
+    let tb = native_pair(cfg, WireConfig::default());
+    let na = Arc::clone(&tb.a.nic);
+    let nb2 = Arc::clone(tb.b.bsd());
+    tb.sim.spawn("server", move || {
         let ls = TcpSock::new(&nb2);
         ls.bind(Ipv4Addr::UNSPECIFIED, 7).unwrap();
         ls.listen(1).unwrap();
@@ -223,8 +193,8 @@ fn handshake_survives_syn_loss() {
         let mut d = [0u8; 16];
         while conn.recv(&mut d).unwrap() != 0 {}
     });
-    let na2 = Arc::clone(&net_a);
-    sim.spawn("client", move || {
+    let na2 = Arc::clone(tb.a.bsd());
+    tb.sim.spawn("client", move || {
         let s = TcpSock::new(&na2);
         s.connect(IP_B, 7).unwrap();
         s.send(b"ping").unwrap();
@@ -234,6 +204,6 @@ fn handshake_survives_syn_loss() {
         s.close();
         while s.recv(&mut b).unwrap() != 0 {}
     });
-    sim.run();
+    tb.finish();
     assert!(na.wire_dropped() > 0);
 }

@@ -168,13 +168,17 @@ fn all_configs_transfer_correctly() {
 /// Cross-stack interop: the Linux-idiom stack and the BSD stack speak the
 /// same wire protocol (ARP, IP, TCP with MSS options), so a mixed pair
 /// works — components from different donors cooperating, the §3.7 story
-/// taken one step further.
+/// taken one step further.  Every sender × receiver pairing of the three
+/// systems moves the whole payload, Linux ↔ OSKit included.
 #[test]
 fn linux_and_bsd_stacks_interoperate() {
-    let a = ttcp_run_mixed(NetConfig::linux(), NetConfig::freebsd(), 256, 4096);
-    assert_eq!(a.bytes, 256 * 4096);
-    let b = ttcp_run_mixed(NetConfig::freebsd(), NetConfig::linux(), 256, 4096);
-    assert_eq!(b.bytes, 256 * 4096);
+    let systems = [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()];
+    for sender in systems {
+        for receiver in systems {
+            let r = ttcp_run_mixed(sender, receiver, 64, 4096);
+            assert_eq!(r.bytes, 64 * 4096, "{} -> {}", sender.name(), receiver.name());
+        }
+    }
 }
 
 /// The §6.2.6 Java/PC observation holds for any client of the OSKit
@@ -198,14 +202,15 @@ fn oskit_receive_beats_oskit_send() {
 #[test]
 fn posix_layer_is_stack_agnostic() {
     use oskit::com::interfaces::socket::{Domain, SockAddr, SockType, SocketFactory};
-    use oskit::linux_dev::{LinuxSocketFactory, NetDevice};
-    use oskit::machine::{Machine, Nic, Sim};
-    use oskit::osenv::OsEnv;
     use oskit::clib::PosixIo;
+    use oskit::linux_dev::LinuxSocketFactory;
+    use oskit::machine::{Nic, Sim};
+    use oskit::testbed::{NodeNet, Testbed};
     use std::net::Ipv4Addr;
     use std::sync::Arc;
 
-    /// The application, written once against POSIX.
+    /// The application, written once against POSIX: spawns an echo
+    /// server and a client on `sim`; the caller runs it.
     fn echo_once(server: Arc<PosixIo>, client: Arc<PosixIo>, sim: &Arc<Sim>) {
         let s2 = Arc::clone(&server);
         sim.spawn("server", move || {
@@ -232,32 +237,18 @@ fn posix_layer_is_stack_agnostic() {
                 .unwrap();
             while c2.recv(fd, &mut b).unwrap() != 0 {}
         });
-        sim.run();
     }
 
     // Round 1: the Linux-style stack behind the factories.
     {
-        let sim = Sim::new();
-        let ma = Machine::new(&sim, "a", 1 << 20);
-        let mb = Machine::new(&sim, "b", 1 << 20);
-        let na = Nic::new(&ma, [2, 0, 0, 0, 0, 1]);
-        let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
-        Nic::connect(&na, &nb);
-        let ea = OsEnv::new(&ma);
-        let eb = OsEnv::new(&mb);
-        let da = NetDevice::new("eth0", &ea, na);
-        let db = NetDevice::new("eth0", &eb, nb);
-        let ia = oskit::linux_dev::linux::inet::LinuxInet::attach(
-            &ea, &da, Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
-        let ib = oskit::linux_dev::linux::inet::LinuxInet::attach(
-            &eb, &db, Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(255, 255, 255, 0));
-        ma.irq.enable();
-        mb.irq.enable();
+        let linux = NodeNet::Stack(NetConfig::linux());
+        let tb = Testbed::new(linux, linux);
         let pa = PosixIo::new();
-        pa.set_socket_creator(LinuxSocketFactory::new(&ia) as Arc<dyn SocketFactory>);
+        pa.set_socket_creator(LinuxSocketFactory::new(tb.a.inet()) as Arc<dyn SocketFactory>);
         let pb = PosixIo::new();
-        pb.set_socket_creator(LinuxSocketFactory::new(&ib) as Arc<dyn SocketFactory>);
-        echo_once(pb, pa, &sim);
+        pb.set_socket_creator(LinuxSocketFactory::new(tb.b.inet()) as Arc<dyn SocketFactory>);
+        echo_once(pb, pa, &tb.sim);
+        tb.finish();
     }
 
     // Round 2: the same application over the FreeBSD stack via the full
@@ -270,5 +261,6 @@ fn posix_layer_is_stack_agnostic() {
         ka.init_networking(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(255, 255, 255, 0));
         kb.init_networking(Ipv4Addr::new(10, 0, 0, 2), Ipv4Addr::new(255, 255, 255, 0));
         echo_once(Arc::clone(&kb.posix), Arc::clone(&ka.posix), &sim);
+        sim.run();
     }
 }

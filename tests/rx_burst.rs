@@ -7,9 +7,9 @@
 //! (and only by) ring overflow, and — under burst load — strictly fewer
 //! receive interrupts than frames, by a wide margin.
 
-use oskit::linux_dev::{NetDevice, NETIF_F_NAPI};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
-use oskit::osenv::OsEnv;
+use oskit::linux_dev::NETIF_F_NAPI;
+use oskit::machine::{SleepRecord, WorkSnapshot};
+use oskit::testbed::{NodeNet, Testbed};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -54,30 +54,16 @@ struct RigResult {
 /// within each burst, `gap_ns` of idle wire between bursts of
 /// `burst_len`), and returns what b's rx handler saw.
 fn run_burst(napi: bool, payloads: Vec<Vec<u8>>, burst_len: usize, gap_ns: u64) -> RigResult {
-    let sim = Sim::new();
-    let ma = Machine::new(&sim, "a", 1 << 20);
-    let mb = Machine::new(&sim, "b", 1 << 20);
-    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 0xA]);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 0xB]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let da = NetDevice::new("eth0", &ea, na);
-    let db = NetDevice::new("eth0", &eb, Arc::clone(&nb));
-    if napi {
-        db.set_features(NETIF_F_NAPI);
-    }
-    da.open();
-    db.open();
-    ma.irq.enable();
-    mb.irq.enable();
+    let rx = NodeNet::Driver(if napi { NETIF_F_NAPI } else { 0 });
+    let tb = Testbed::new(NodeNet::Driver(0), rx);
+    let (nb, db) = (Arc::clone(&tb.b.nic), Arc::clone(tb.b.dev()));
     let got = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
     db.set_rx_handler(move |skb| g2.lock().push(skb.to_vec()[ETH_HLEN..].to_vec()));
-    let s2 = Arc::clone(&sim);
-    let da2 = Arc::clone(&da);
+    let s2 = Arc::clone(&tb.sim);
+    let da2 = Arc::clone(tb.a.dev());
     let dst = db.dev_addr;
-    sim.spawn("tx", move || {
+    tb.sim.spawn("tx", move || {
         let rec = Arc::new(SleepRecord::new());
         for (i, p) in payloads.iter().enumerate() {
             if i > 0 && i % burst_len == 0 && gap_ns > 0 {
@@ -89,11 +75,11 @@ fn run_burst(napi: bool, payloads: Vec<Vec<u8>>, burst_len: usize, gap_ns: u64) 
         // watchdog to have done whatever they are going to do.
         let _ = rec.wait_timeout(&s2, 50_000_000);
     });
-    sim.run();
+    let (_, b) = tb.finish();
     let got = got.lock().clone();
     RigResult {
         got,
-        meter: mb.meter.snapshot(),
+        meter: b.work,
         nic_dropped: nb.rx_dropped(),
         dev_dropped: db.stats.rx_dropped.load(std::sync::atomic::Ordering::Relaxed),
     }
@@ -154,29 +140,20 @@ fn napi_sparse_arrivals_are_not_starved() {
 /// delivered once draining starts.
 #[test]
 fn ring_overflow_is_the_only_source_of_drops() {
-    let sim = Sim::new();
-    let ma = Machine::new(&sim, "a", 1 << 20);
-    let mb = Machine::new(&sim, "b", 1 << 20);
-    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 0xA]);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 0xB]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let da = NetDevice::new("eth0", &ea, na);
-    let db = NetDevice::new("eth0", &eb, Arc::clone(&nb));
-    da.open();
-    db.open();
-    ma.irq.enable();
-    // Receiver IRQs stay *disabled*: frames pile onto the ring with
-    // nobody draining it, like a driver that has fallen behind.
+    let tb = Testbed::new(NodeNet::Driver(0), NodeNet::Driver(0));
+    let (mb, nb) = (Arc::clone(&tb.b.machine), Arc::clone(&tb.b.nic));
+    let db = Arc::clone(tb.b.dev());
+    // Receiver IRQs go back to *disabled*: frames pile onto the ring
+    // with nobody draining it, like a driver that has fallen behind.
+    mb.irq.disable();
     let got = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
     db.set_rx_handler(move |skb| g2.lock().push(skb.to_vec()));
     let payloads = burst_payloads(0xd805, 100);
-    let s2 = Arc::clone(&sim);
-    let da2 = Arc::clone(&da);
+    let s2 = Arc::clone(&tb.sim);
+    let da2 = Arc::clone(tb.a.dev());
     let dst = db.dev_addr;
-    sim.spawn("tx", move || {
+    tb.sim.spawn("tx", move || {
         for p in &payloads {
             da2.xmit_ether(dst, ETH_P_IP, p);
         }
@@ -190,7 +167,7 @@ fn ring_overflow_is_the_only_source_of_drops() {
         nb.rx_irq_enable();
         let _ = rec.wait_timeout(&s2, 10_000_000);
     });
-    sim.run();
+    tb.finish();
     // Exactly the ring's worth delivered, none corrupted, and the only
     // drop accounting anywhere is the NIC's overflow count.
     assert_eq!(got.lock().len(), 64);

@@ -9,9 +9,9 @@
 //! exhausted poll must reschedule itself until the ring runs dry —
 //! never strand frames behind a disarmed interrupt.
 
-use oskit::linux_dev::{NetDevice, NETIF_F_NAPI};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
-use oskit::osenv::OsEnv;
+use oskit::linux_dev::NETIF_F_NAPI;
+use oskit::machine::{SleepRecord, WorkSnapshot};
+use oskit::testbed::{NodeNet, Testbed};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -44,31 +44,17 @@ fn run_pattern(
     payloads: Vec<Vec<u8>>,
     gaps: Vec<u64>,
 ) -> (Vec<Vec<u8>>, WorkSnapshot) {
-    let sim = Sim::new();
-    let ma = Machine::new(&sim, "a", 1 << 20);
-    let mb = Machine::new(&sim, "b", 1 << 20);
-    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 0xA]);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 0xB]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let da = NetDevice::new("eth0", &ea, na);
-    let db = NetDevice::new("eth0", &eb, nb);
-    if napi {
-        db.set_features(NETIF_F_NAPI);
-        db.set_napi_budget(budget);
-    }
-    da.open();
-    db.open();
-    ma.irq.enable();
-    mb.irq.enable();
+    let rx = NodeNet::Driver(if napi { NETIF_F_NAPI } else { 0 });
+    let tb = Testbed::new(NodeNet::Driver(0), rx);
+    let (da, db) = (tb.a.dev(), tb.b.dev());
+    db.set_napi_budget(budget);
     let got = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
     db.set_rx_handler(move |skb| g2.lock().push(skb.to_vec()[ETH_HLEN..].to_vec()));
-    let s2 = Arc::clone(&sim);
-    let da2 = Arc::clone(&da);
+    let s2 = Arc::clone(&tb.sim);
+    let da2 = Arc::clone(da);
     let dst = db.dev_addr;
-    sim.spawn("tx", move || {
+    tb.sim.spawn("tx", move || {
         let rec = Arc::new(SleepRecord::new());
         for (i, p) in payloads.iter().enumerate() {
             let gap = gaps[i % gaps.len()];
@@ -80,9 +66,9 @@ fn run_pattern(
         // Outlast the coalesce delay and a couple of watchdog periods.
         let _ = rec.wait_timeout(&s2, 20_000_000);
     });
-    sim.run();
+    let (_, b) = tb.finish();
     let got = got.lock().clone();
-    (got, mb.meter.snapshot())
+    (got, b.work)
 }
 
 proptest! {
@@ -118,22 +104,9 @@ proptest! {
         budget in 1usize..=8,
         seed in any::<u64>(),
     ) {
-        let sim = Sim::new();
-        let ma = Machine::new(&sim, "a", 1 << 20);
-        let mb = Machine::new(&sim, "b", 1 << 20);
-        let na = Nic::new(&ma, [2, 0, 0, 0, 0, 0xA]);
-        let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 0xB]);
-        Nic::connect(&na, &nb);
-        let ea = OsEnv::new(&ma);
-        let eb = OsEnv::new(&mb);
-        let da = NetDevice::new("eth0", &ea, na);
-        let db = NetDevice::new("eth0", &eb, Arc::clone(&nb));
-        db.set_features(NETIF_F_NAPI);
+        let tb = Testbed::new(NodeNet::Driver(0), NodeNet::Driver(NETIF_F_NAPI));
+        let (da, db, nb) = (tb.a.dev(), tb.b.dev(), Arc::clone(&tb.b.nic));
         db.set_napi_budget(budget);
-        da.open();
-        db.open();
-        ma.irq.enable();
-        mb.irq.enable();
         let got = Arc::new(Mutex::new(Vec::new()));
         let g2 = Arc::clone(&got);
         db.set_rx_handler(move |skb| g2.lock().push(skb.to_vec()[ETH_HLEN..].to_vec()));
@@ -142,11 +115,11 @@ proptest! {
         // Pile the whole burst up behind a disarmed interrupt, then fire
         // exactly one schedule.
         nb.rx_irq_disable();
-        let s2 = Arc::clone(&sim);
-        let da2 = Arc::clone(&da);
-        let db2 = Arc::clone(&db);
+        let s2 = Arc::clone(&tb.sim);
+        let da2 = Arc::clone(da);
+        let db2 = Arc::clone(db);
         let dst = db.dev_addr;
-        sim.spawn("tx", move || {
+        tb.sim.spawn("tx", move || {
             for p in &payloads {
                 da2.xmit_ether(dst, ETH_P_IP, p);
             }
@@ -155,9 +128,8 @@ proptest! {
             db2.napi_schedule();
             let _ = rec.wait_timeout(&s2, 10_000_000);
         });
-        sim.run();
+        let m = tb.finish().1.work;
         prop_assert_eq!(&*got.lock(), &expect);
-        let m = mb.meter.snapshot();
         prop_assert_eq!(m.rx_polls, n.div_ceil(budget) as u64);
         prop_assert_eq!(m.rx_batch_frames, n as u64);
         prop_assert!(nb.rx_irq_armed());

@@ -13,9 +13,9 @@ use oskit::com::interfaces::netio::{EtherDev, FnNetIo, NetIo};
 use oskit::com::{com_object, new_com, SelfRef};
 use oskit::freebsd_net::bsd::mbuf::{Mbuf, MbufChain, MCLBYTES, MLEN};
 use oskit::freebsd_net::glue::bufio::MbufBufIo;
-use oskit::linux_dev::{LinuxEtherDev, NetDevice, NETIF_F_SG};
-use oskit::machine::{Machine, Nic, Sim, SleepRecord, WorkSnapshot};
-use oskit::osenv::OsEnv;
+use oskit::linux_dev::NETIF_F_SG;
+use oskit::machine::{SleepRecord, WorkSnapshot};
+use oskit::testbed::{NodeNet, Testbed};
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
 
@@ -70,23 +70,11 @@ fn transmit(
     sg_driver: bool,
     mk: impl FnOnce() -> Arc<dyn BufIo> + Send + 'static,
 ) -> (Vec<Vec<u8>>, WorkSnapshot) {
-    let sim = Sim::new();
-    let ma = Machine::new(&sim, "a", 1 << 20);
-    let mb = Machine::new(&sim, "b", 1 << 20);
-    let na = Nic::new(&ma, [2, 0, 0, 0, 0, 1]);
-    let nb = Nic::new(&mb, [2, 0, 0, 0, 0, 2]);
-    Nic::connect(&na, &nb);
-    let ea = OsEnv::new(&ma);
-    let eb = OsEnv::new(&mb);
-    let da = NetDevice::new("eth0", &ea, na);
-    if sg_driver {
-        da.set_features(NETIF_F_SG);
-    }
-    let db = NetDevice::new("eth0", &eb, nb);
-    let ca = LinuxEtherDev::new(&ea, &da);
-    let cb = LinuxEtherDev::new(&eb, &db);
+    let tx = NodeNet::Driver(if sg_driver { NETIF_F_SG } else { 0 });
+    let tb = Testbed::new(tx, NodeNet::Driver(0));
     let got = Arc::new(Mutex::new(Vec::new()));
     let g2 = Arc::clone(&got);
+    let (ca, cb) = (tb.a.ether(), tb.b.ether());
     let _tx_b = cb
         .open(FnNetIo::new(move |pkt| {
             g2.lock().unwrap().push(bufio_to_vec(&*pkt)?);
@@ -94,17 +82,15 @@ fn transmit(
         }) as Arc<dyn NetIo>)
         .unwrap();
     let tx_a = ca.open(FnNetIo::new(|_| Ok(())) as Arc<dyn NetIo>).unwrap();
-    ma.irq.enable();
-    mb.irq.enable();
-    let s2 = Arc::clone(&sim);
-    sim.spawn("tx", move || {
+    let s2 = Arc::clone(&tb.sim);
+    tb.sim.spawn("tx", move || {
         tx_a.push(mk()).unwrap();
         let rec = Arc::new(SleepRecord::new());
         let _ = rec.wait_timeout(&s2, 10_000_000);
     });
-    sim.run();
+    let (a, _) = tb.finish();
     let frames = got.lock().unwrap().clone();
-    (frames, ma.meter.snapshot())
+    (frames, a.work)
 }
 
 proptest! {

@@ -45,6 +45,17 @@ if [ -n "$leaf" ]; then
     exit 1
 fi
 
+echo "==> two-machine rigs come from oskit::testbed: no hand-built osenv"
+# Tests, examples and the experiment harness stand machines up through
+# oskit::testbed (or KernelBuilder), so the testbed's finish() sees
+# every run; a hand-wired rig would bypass it.
+rigs=$(grep -rn 'OsEnv::new(' tests crates/*/tests examples crates/core/src/experiments.rs || true)
+if [ -n "$rigs" ]; then
+    echo "hand-built OsEnv outside oskit::testbed:" >&2
+    echo "$rigs" >&2
+    exit 1
+fi
+
 echo "==> cargo test -q (workspace)"
 cargo test -q
 
