@@ -14,6 +14,10 @@
 //! mitigation + budgeted rx polling), printing the rx IRQ/poll mechanics
 //! next to the default interrupt-per-frame numbers.
 //!
+//! `--sched` appends each default cell's scheduler counts (token
+//! handoffs and events dispatched), the deterministic host-cost
+//! figures `tools/golden/sched.txt` pins.
+//!
 //! `--faults` appends the robustness ablation: the OSKit configuration
 //! rerun under a seeded fault plan (frame drops, transmitter wedges,
 //! failing interrupt-level allocations, lost IRQs), printing the
@@ -32,6 +36,7 @@ fn main() {
     let sg = std::env::args().any(|a| a == "--sg");
     let napi = std::env::args().any(|a| a == "--napi");
     let faults = std::env::args().any(|a| a == "--faults");
+    let sched = std::env::args().any(|a| a == "--sched");
     let blocks = if paper { 131_072 } else { 4096 };
     let bs = 4096;
     println!("Table 1: TCP bandwidth (Mbit/s of virtual time), ttcp,");
@@ -259,6 +264,19 @@ fn main() {
             send.sender_boundaries.total().crossings == send.sender.crossings
                 && send.sender_boundaries.total().bytes_copied == send.sender.bytes_copied,
         );
+    }
+
+    if sched {
+        let cells: Vec<_> = rows
+            .iter()
+            .flat_map(|(cfg, send, recv)| {
+                [
+                    (format!("{} send", cfg.name()), send.sched.clone()),
+                    (format!("{} receive", cfg.name()), recv.sched.clone()),
+                ]
+            })
+            .collect();
+        oskit_bench::print_sched("table1", &cells);
     }
 }
 

@@ -11,6 +11,8 @@
 //! where mitigation *loses* — a lone packet waits out the coalesce
 //! delay — so this row quantifies the price table1's `--napi` bandwidth
 //! row pays for its IRQ reduction.
+//!
+//! `--sched` appends each default cell's scheduler counts (see table1).
 
 #![forbid(unsafe_code)]
 
@@ -20,6 +22,7 @@ fn main() {
     let boundaries = std::env::args().any(|a| a == "--boundaries");
     let sg = std::env::args().any(|a| a == "--sg");
     let napi = std::env::args().any(|a| a == "--napi");
+    let sched = std::env::args().any(|a| a == "--sched");
     let round_trips = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
@@ -33,6 +36,7 @@ fn main() {
     let mut bsd = 0.0;
     let mut oskit = 0.0;
     let mut oskit_breakdown = None;
+    let mut cells = Vec::new();
     for cfg in [NetConfig::linux(), NetConfig::freebsd(), NetConfig::oskit()] {
         let r = rtcp_run(cfg, round_trips);
         println!(
@@ -48,6 +52,7 @@ fn main() {
             oskit = r.rtt_us;
             oskit_breakdown = Some(r.client_boundaries.clone());
         }
+        cells.push((cfg.name(), r.sched));
     }
     if boundaries {
         if let Some(report) = &oskit_breakdown {
@@ -112,5 +117,9 @@ fn main() {
             println!("       OSKit row — one-byte segments never fragment, so the");
             println!("       gather path is simply never taken.");
         }
+    }
+
+    if sched {
+        oskit_bench::print_sched("table2", &cells);
     }
 }

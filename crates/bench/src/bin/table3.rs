@@ -19,7 +19,8 @@
 //! The client byte-verifies the payload, so the sendfile row is also an
 //! end-to-end correctness proof for the lent-page path.  Checks pin
 //! the zero-copy claim to the exact boundaries: 0 bytes copied at `freebsd-net::sockbuf` and
-//! `linux-dev::ether_tx`.  `--boundaries` prints the full breakdown.
+//! `linux-dev::ether_tx`.  `--boundaries` prints the full breakdown;
+//! `--sched` appends each row's scheduler counts (see table1).
 
 #![forbid(unsafe_code)]
 
@@ -28,6 +29,7 @@ use oskit::{fileserve_run, FileServeResult, ServeMode};
 fn main() {
     let paper = std::env::args().any(|a| a == "--paper");
     let boundaries = std::env::args().any(|a| a == "--boundaries");
+    let sched = std::env::args().any(|a| a == "--sched");
     // Default 512 KiB fits the mount-time cache (1 MiB), so the warm
     // rows are genuinely warm; --paper serves 4 MiB and lets the cold
     // row evict as it streams.
@@ -42,6 +44,7 @@ fn main() {
         "", "Mbit/s", "copied B", "gathered B", "hits", "misses"
     );
     let mut rows = Vec::new();
+    let mut cells = Vec::new();
     for mode in [ServeMode::ColdCopy, ServeMode::WarmCopy, ServeMode::Sendfile] {
         let r = fileserve_run(mode, kib);
         println!(
@@ -53,6 +56,7 @@ fn main() {
             r.server.cache_hits,
             r.server.cache_misses
         );
+        cells.push((mode.name().to_string(), r.sched.clone()));
         rows.push(r);
     }
     let (cold, warm, sendfile) = (&rows[0], &rows[1], &rows[2]);
@@ -121,6 +125,9 @@ fn main() {
         print!("{}", warm.server_boundaries);
         println!("\nper-boundary breakdown (sendfile server):");
         print!("{}", sendfile.server_boundaries);
+    }
+    if sched {
+        oskit_bench::print_sched("table3", &cells);
     }
 }
 

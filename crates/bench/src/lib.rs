@@ -10,13 +10,35 @@
 //! * `fig1`   — the component structure diagram (paper Figure 1);
 //! * `footprint` — static component sizes (paper §6.2.5).
 //!
+//! `table1`, `table2` and `table3` take `--sched` to append each cell's
+//! scheduler counts ([`print_sched`]).
+//!
 //! Criterion benches (`cargo bench`) cover host-time regression tracking
 //! and the paper's ablations: allocator design (§6.2.10), COM dispatch
 //! cost, and bufio map-vs-copy.
 
 #![forbid(unsafe_code)]
 
+use oskit::machine::SchedCounts;
 use std::path::{Path, PathBuf};
+
+/// Prints the `--sched` block of a table binary: each cell's scheduler
+/// counts (token handoffs to another thread, handoffs straight back, and
+/// events dispatched).  They are deterministic, so `tools/check.sh`
+/// diffs them against `tools/golden/sched.txt`.
+pub fn print_sched(table: &str, cells: &[(String, SchedCounts)]) {
+    println!("\nsched counts, {table} (--sched):");
+    println!(
+        "{:22} {:>12} {:>14} {:>18}",
+        "", "handoffs", "self_handoffs", "events_dispatched"
+    );
+    for (cell, c) in cells {
+        println!(
+            "{:22} {:>12} {:>14} {:>18}",
+            cell, c.handoffs, c.self_handoffs, c.events_dispatched
+        );
+    }
+}
 
 /// The paper's "filtered" source-line rule (Table 3 caption): "filters out
 /// comments, blank lines, preprocessor directives, and punctuation-only

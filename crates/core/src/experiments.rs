@@ -12,7 +12,7 @@
 //! DESIGN.md §5).
 
 use crate::testbed::{NodeNet, Stack, Testbed};
-use oskit_machine::{FaultPlan, FaultSnapshot, TraceReport, WorkSnapshot};
+use oskit_machine::{FaultPlan, FaultSnapshot, SchedCounts, TraceReport, WorkSnapshot};
 use parking_lot::Mutex;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -158,6 +158,8 @@ pub struct TtcpResult {
     pub sender_faults: FaultSnapshot,
     /// Receiver-machine fault ledger.
     pub receiver_faults: FaultSnapshot,
+    /// The run's scheduler counts (token handoffs, events dispatched).
+    pub sched: SchedCounts,
 }
 
 /// The result of one rtcp run.
@@ -175,6 +177,8 @@ pub struct RtcpResult {
     pub client_boundaries: TraceReport,
     /// Per-boundary refinement of `server`.
     pub server_boundaries: TraceReport,
+    /// The run's scheduler counts (token handoffs, events dispatched).
+    pub sched: SchedCounts,
 }
 
 /// A connected TCP socket of either stack: lets one driver routine run
@@ -315,7 +319,7 @@ pub fn ttcp_run_faulted(
         let mut d = [0u8; 256];
         while pipe.recv(&mut d) != 0 {}
     });
-    let (a, b) = tb.finish();
+    let (a, b, sched) = tb.finish();
     let elapsed = *finish.lock();
     TtcpResult {
         bytes: total as u64,
@@ -327,6 +331,7 @@ pub fn ttcp_run_faulted(
         receiver_boundaries: b.boundaries,
         sender_faults: a.faults,
         receiver_faults: b.faults,
+        sched,
     }
 }
 
@@ -364,7 +369,7 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
         let mut d = [0u8; 16];
         while pipe.recv(&mut d) != 0 {}
     });
-    let (client, server) = tb.finish();
+    let (client, server, sched) = tb.finish();
     let total_ns = *elapsed.lock();
     RtcpResult {
         round_trips: round_trips as u64,
@@ -373,6 +378,7 @@ pub fn rtcp_run(config: NetConfig, round_trips: usize) -> RtcpResult {
         server: server.work,
         client_boundaries: client.boundaries,
         server_boundaries: server.boundaries,
+        sched,
     }
 }
 
@@ -416,6 +422,8 @@ pub struct FileServeResult {
     pub client: WorkSnapshot,
     /// Per-boundary rows `server` is the sum of.
     pub server_boundaries: TraceReport,
+    /// The run's scheduler counts (token handoffs, events dispatched).
+    pub sched: SchedCounts,
 }
 
 /// Serves one `kib`-KiB file from an FFS volume on a simulated IDE disk
@@ -550,7 +558,7 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         while s.recv(&mut d).unwrap_or(0) != 0 {}
     });
 
-    let (server, client) = tb.finish();
+    let (server, client, sched) = tb.finish();
     let (bytes, elapsed_ns) = *done.lock();
     FileServeResult {
         bytes,
@@ -559,6 +567,7 @@ pub fn fileserve_run(mode: ServeMode, kib: usize) -> FileServeResult {
         server: server.work,
         client: client.work,
         server_boundaries: server.boundaries,
+        sched,
     }
 }
 

@@ -20,7 +20,7 @@
 //! );
 //! let net = Arc::clone(tb.a.bsd());
 //! tb.sim.spawn("ping", move || assert!(net.ping(IP_B, 1_000_000_000)));
-//! let (a, b) = tb.finish();
+//! let (a, b, _) = tb.finish();
 //! assert_eq!(a.work.crossings, 0, "native FreeBSD crosses no glue");
 //! assert!(b.work.crossings > 0, "the OSKit node does");
 //! ```
@@ -36,7 +36,7 @@ use oskit_freebsd_net::{
 use oskit_linux_dev::linux::blkdev::IdeDrive;
 use oskit_linux_dev::{LinuxBlkIo, LinuxEtherDev, LinuxInet, NetDevice, NETIF_F_NAPI, NETIF_F_SG};
 use oskit_machine::{
-    Disk, FaultSnapshot, Machine, Nic, Sim, TraceReport, WireConfig, WorkSnapshot,
+    Disk, FaultSnapshot, Machine, Nic, SchedCounts, Sim, TraceReport, WireConfig, WorkSnapshot,
 };
 use oskit_osenv::OsEnv;
 use std::net::Ipv4Addr;
@@ -244,9 +244,9 @@ impl Testbed {
     }
 
     /// Runs the simulation to completion and returns node a's and node
-    /// b's ledgers.
-    pub fn finish(self) -> (NodeReport, NodeReport) {
+    /// b's ledgers, and the run's scheduler counts.
+    pub fn finish(self) -> (NodeReport, NodeReport, SchedCounts) {
         self.sim.run();
-        (self.a.report(), self.b.report())
+        (self.a.report(), self.b.report(), self.sim.sched_counts())
     }
 }

@@ -3,6 +3,7 @@
 
 use super::mbuf::MbufChain;
 use super::net::Ifnet;
+use oskit_machine::Cksum;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -20,48 +21,6 @@ pub mod ipproto {
 
 /// IP header length (no options, as the stack emits).
 pub const IP_HDR_LEN: usize = 20;
-
-/// The Internet checksum (RFC 1071) — `in_cksum`.
-pub fn in_cksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
-
-/// Checksum of an mbuf chain (walks the chain as `in_cksum` does).
-pub fn in_cksum_chain(chain: &MbufChain, pseudo: &[u8]) -> u16 {
-    // Fold the pseudo-header followed by the chain bytes.  Odd-length
-    // mbufs require byte-position tracking.
-    let mut sum = 0u32;
-    let mut odd = false;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            if odd {
-                sum += u32::from(b);
-            } else {
-                sum += u32::from(b) << 8;
-            }
-            odd = !odd;
-        }
-    };
-    fold(pseudo);
-    for m in chain.iter() {
-        m.with_data(&mut fold);
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
 
 /// A parsed IP header.
 #[derive(Clone, Copy, Debug)]
@@ -94,7 +53,7 @@ impl IpHeader {
         if ihl < IP_HDR_LEN || p.len() < ihl {
             return None;
         }
-        if in_cksum(&p[..ihl]) != 0 {
+        if Cksum::new().add(&p[..ihl]).finish() != 0 {
             return None;
         }
         let flags_frag = u16::from_be_bytes([p[6], p[7]]);
@@ -202,7 +161,7 @@ impl IpState {
         hdr[9] = proto;
         hdr[12..16].copy_from_slice(&src.octets());
         hdr[16..20].copy_from_slice(&dst.octets());
-        let csum = in_cksum(&hdr);
+        let csum = Cksum::new().add(&hdr).finish();
         hdr[10..12].copy_from_slice(&csum.to_be_bytes());
         payload.m_prepend(&hdr);
         if ifp.on_link(dst) {
@@ -282,7 +241,7 @@ pub fn icmp_reflect(payload: &MbufChain) -> Option<MbufChain> {
     reply[0] = 0; // Echo reply.
     reply[2] = 0;
     reply[3] = 0;
-    let csum = in_cksum(&reply);
+    let csum = Cksum::new().add(&reply).finish();
     reply[2..4].copy_from_slice(&csum.to_be_bytes());
     Some(MbufChain::from_slice(&reply))
 }
@@ -418,12 +377,12 @@ mod tests {
     fn icmp_echo_reflect() {
         let mut echo = vec![8u8, 0, 0, 0, 0x12, 0x34, 0x00, 0x01];
         echo.extend_from_slice(b"ping-payload");
-        let csum = in_cksum(&echo);
+        let csum = Cksum::new().add(&echo).finish();
         echo[2..4].copy_from_slice(&csum.to_be_bytes());
         let reply = icmp_reflect(&MbufChain::from_slice(&echo)).expect("reply");
         let r = reply.to_vec();
         assert_eq!(r[0], 0); // Echo reply.
-        assert_eq!(in_cksum(&r), 0); // Valid checksum.
+        assert_eq!(Cksum::new().add(&r).finish(), 0); // Valid checksum.
         assert_eq!(&r[4..], &echo[4..]); // Ident/seq/payload preserved.
         // Non-echo types are ignored.
         assert!(icmp_reflect(&MbufChain::from_slice(&[0u8; 8])).is_none());
@@ -435,11 +394,16 @@ mod tests {
         let mut chain = MbufChain::from_slice(&data[..123]);
         chain.m_cat(MbufChain::from_slice(&data[123..501]));
         chain.m_cat(MbufChain::from_slice(&data[501..]));
-        assert_eq!(in_cksum_chain(&chain, &[]), in_cksum(&data));
+        let mut sum = Cksum::new();
+        chain.cksum_into(&mut sum);
+        assert_eq!(sum.finish(), Cksum::new().add(&data).finish());
         // With a pseudo-header prefix.
         let pseudo = [1u8, 2, 3, 4, 5, 6, 7, 8];
         let mut flat = pseudo.to_vec();
         flat.extend_from_slice(&data);
-        assert_eq!(in_cksum_chain(&chain, &pseudo), in_cksum(&flat));
+        let mut sum = Cksum::new();
+        sum.add(&pseudo);
+        chain.cksum_into(&mut sum);
+        assert_eq!(sum.finish(), Cksum::new().add(&flat).finish());
     }
 }

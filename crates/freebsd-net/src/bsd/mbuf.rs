@@ -13,6 +13,7 @@
 //! exactly what forces the copy on the OSKit send path (Table 1).
 
 use oskit_com::interfaces::blkio::BufIo;
+use oskit_machine::Cksum;
 use std::sync::Arc;
 
 /// Data capacity of a small mbuf (`MLEN`).
@@ -58,10 +59,8 @@ impl Mbuf {
     /// `MCLGET` + data: a cluster mbuf holding `bytes`.
     pub fn cluster(bytes: &[u8]) -> Mbuf {
         assert!(bytes.len() <= MCLBYTES, "cluster overflow");
-        let mut v = bytes.to_vec();
-        v.resize(v.len().max(bytes.len()), 0);
         Mbuf {
-            data: MbufData::Cluster(Arc::new(v)),
+            data: MbufData::Cluster(Arc::new(bytes.to_vec())),
             off: 0,
             len: bytes.len(),
         }
@@ -415,9 +414,14 @@ impl MbufChain {
         out
     }
 
-    /// Iterates over the mbufs.
-    pub fn iter(&self) -> impl Iterator<Item = &Mbuf> {
-        self.bufs.iter()
+    /// `in_cksum`'s chain walk: adds the packet's bytes to `sum` mbuf by
+    /// mbuf, where they lie (external storage through its bufio's map).
+    pub fn cksum_into(&self, sum: &mut Cksum) {
+        for m in &self.bufs {
+            m.with_data(|d| {
+                sum.add(d);
+            });
+        }
     }
 }
 

@@ -211,7 +211,7 @@ impl BsdNet {
         let mut pkt = vec![8u8, 0, 0, 0, 0, 0, 0, 1];
         pkt[4..6].copy_from_slice(&ident.to_be_bytes());
         pkt.extend_from_slice(b"oskit ping payload");
-        let csum = super::ip::in_cksum(&pkt);
+        let csum = oskit_machine::Cksum::new().add(&pkt).finish();
         pkt[2..4].copy_from_slice(&csum.to_be_bytes());
         let ifp = self.ifnet();
         let Some(src) = ifp.address() else {

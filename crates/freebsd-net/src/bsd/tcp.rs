@@ -7,10 +7,11 @@
 //! ACKs on the fast timer, the Nagle algorithm, and window updates — "the
 //! BSD network protocols have been tuned for over 15 years" (paper §6.2.6).
 
-use super::ip::{in_cksum_chain, ipproto};
+use super::ip::ipproto;
 use super::mbuf::{Mbuf, MbufChain, MLEN};
 use super::socket::{seq, SockBuf, SB_RCV_HIWAT, SB_SND_HIWAT};
 use super::stack::BsdNet;
+use oskit_machine::{pseudo_header, Cksum};
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -675,21 +676,15 @@ impl TcpSock {
             hdr[21] = 4; // Length.
             hdr[22..24].copy_from_slice(&(TCP_MSS as u16).to_be_bytes());
         }
-        // Checksum over pseudo-header + header + payload.
+        // Checksum over pseudo-header + header + payload, each summed
+        // where it lies.
         let total = hdr_len + payload.pkt_len();
-        let mut pseudo = Vec::with_capacity(12);
-        pseudo.extend_from_slice(&tcb.local.0.octets());
-        pseudo.extend_from_slice(&tcb.foreign.0.octets());
-        pseudo.push(0);
-        pseudo.push(ipproto::TCP);
-        pseudo.extend_from_slice(&(total as u16).to_be_bytes());
         net.env.machine.charge_checksum(total);
-        let csum = {
-            let mut tmp = MbufChain::from_mbuf(Mbuf::small(&hdr, MLEN - hdr_len));
-            tmp.m_cat(payload.clone()); // Clones share storage, not bytes.
-            in_cksum_chain(&tmp, &pseudo)
-        };
-        hdr[16..18].copy_from_slice(&csum.to_be_bytes());
+        let pseudo = pseudo_header(tcb.local.0, tcb.foreign.0, ipproto::TCP, total);
+        let mut sum = Cksum::new();
+        sum.add(&pseudo).add(&hdr);
+        payload.cksum_into(&mut sum);
+        hdr[16..18].copy_from_slice(&sum.finish().to_be_bytes());
         let paylen = payload.pkt_len();
         let seg = if paylen > 0 && hdr_len + paylen + 34 <= MLEN {
             // BSD tcp_output's small-segment path: copy tiny payloads into

@@ -1,10 +1,11 @@
 //! `tcp_input` — segment arrival processing, BSD style.
 
-use super::ip::{in_cksum_chain, ipproto};
+use super::ip::ipproto;
 use super::mbuf::MbufChain;
 use super::socket::seq;
 use super::stack::BsdNet;
 use super::tcp::{th, Tcb, TcpSock, TcpState, TFlags, TCP_HDR_LEN, TCP_MSS};
+use oskit_machine::{pseudo_header, Cksum};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -80,13 +81,10 @@ pub(crate) fn tcp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt
     }
     // Verify the checksum over the pseudo-header and segment.
     net.env.machine.charge_checksum(total);
-    let mut pseudo = Vec::with_capacity(12);
-    pseudo.extend_from_slice(&src.octets());
-    pseudo.extend_from_slice(&dst.octets());
-    pseudo.push(0);
-    pseudo.push(ipproto::TCP);
-    pseudo.extend_from_slice(&(total as u16).to_be_bytes());
-    if in_cksum_chain(&pkt, &pseudo) != 0 {
+    let mut sum = Cksum::new();
+    sum.add(&pseudo_header(src, dst, ipproto::TCP, total));
+    pkt.cksum_into(&mut sum);
+    if sum.finish() != 0 {
         return; // Corrupt segment.
     }
     let pull = pkt.pkt_len().min(60.min(total));

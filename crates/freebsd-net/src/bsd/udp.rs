@@ -1,8 +1,9 @@
 //! UDP — BSD `udp_usrreq.c` in donor idiom.
 
-use super::ip::{in_cksum_chain, ipproto};
+use super::ip::ipproto;
 use super::mbuf::{Mbuf, MbufChain, MLEN};
 use super::stack::BsdNet;
+use oskit_machine::{pseudo_header, Cksum};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::net::Ipv4Addr;
@@ -114,22 +115,18 @@ impl UdpSock {
         let mut hdr = [0u8; UDP_HDR_LEN];
         hdr[0..2].copy_from_slice(&lport.to_be_bytes());
         hdr[2..4].copy_from_slice(&dport.to_be_bytes());
-        let ulen = (UDP_HDR_LEN + buf.len()) as u16;
-        hdr[4..6].copy_from_slice(&ulen.to_be_bytes());
+        let ulen = UDP_HDR_LEN + buf.len();
+        hdr[4..6].copy_from_slice(&(ulen as u16).to_be_bytes());
+        // Checksum over pseudo-header + header + the caller's buffer,
+        // before the one copy into mbufs.
+        net.env.machine.charge_checksum(ulen);
+        let csum = Cksum::new()
+            .add(&pseudo_header(laddr, dst, ipproto::UDP, ulen))
+            .add(&hdr)
+            .add(buf)
+            .finish();
+        hdr[6..8].copy_from_slice(&csum.to_be_bytes());
         let mut seg = MbufChain::from_mbuf(Mbuf::small(&hdr, MLEN - UDP_HDR_LEN));
-        seg.m_cat(MbufChain::from_slice(buf));
-        // Checksum over the pseudo-header.
-        let mut pseudo = Vec::with_capacity(12);
-        pseudo.extend_from_slice(&laddr.octets());
-        pseudo.extend_from_slice(&dst.octets());
-        pseudo.push(0);
-        pseudo.push(ipproto::UDP);
-        pseudo.extend_from_slice(&ulen.to_be_bytes());
-        net.env.machine.charge_checksum(ulen as usize);
-        let csum = in_cksum_chain(&seg, &pseudo);
-        let mut hdr2 = hdr;
-        hdr2[6..8].copy_from_slice(&csum.to_be_bytes());
-        let mut seg = MbufChain::from_mbuf(Mbuf::small(&hdr2, MLEN - UDP_HDR_LEN));
         seg.m_cat(MbufChain::from_slice(buf));
         let ifp = net.ifnet();
         net.ip.ip_output(&ifp, ipproto::UDP, laddr, dst, seg);
@@ -189,19 +186,18 @@ pub(crate) fn udp_input(net: &Arc<BsdNet>, src: Ipv4Addr, dst: Ipv4Addr, mut pkt
     }
     // Verify the checksum (optional on the wire, always emitted by us).
     net.env.machine.charge_checksum(total);
-    let mut pseudo = Vec::with_capacity(12);
-    pseudo.extend_from_slice(&src.octets());
-    pseudo.extend_from_slice(&dst.octets());
-    pseudo.push(0);
-    pseudo.push(ipproto::UDP);
-    pseudo.extend_from_slice(&(total as u16).to_be_bytes());
     let csum_field = {
         pkt.m_pullup(UDP_HDR_LEN);
         pkt.with_contig(UDP_HDR_LEN, |h| u16::from_be_bytes([h[6], h[7]]))
             .expect("pulled up")
     };
-    if csum_field != 0 && in_cksum_chain(&pkt, &pseudo) != 0 {
-        return;
+    if csum_field != 0 {
+        let mut sum = Cksum::new();
+        sum.add(&pseudo_header(src, dst, ipproto::UDP, total));
+        pkt.cksum_into(&mut sum);
+        if sum.finish() != 0 {
+            return;
+        }
     }
     let (sport, dport, ulen) = pkt
         .with_contig(UDP_HDR_LEN, |h| {

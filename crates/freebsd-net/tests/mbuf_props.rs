@@ -1,8 +1,12 @@
 //! Property tests: mbuf chains against a flat-vector model.  The chain
 //! operations (prepend, adjust, copy, concatenate, pull-up) must agree
-//! with plain byte-slice semantics no matter how the chain is fragmented.
+//! with plain byte-slice semantics no matter how the chain is fragmented,
+//! and the chain's Internet checksum must agree with the checksum of the
+//! flat bytes.
 
+use oskit_com::interfaces::blkio::VecBufIo;
 use oskit_freebsd_net::bsd::mbuf::{Mbuf, MbufChain, MCLBYTES, MLEN};
+use oskit_machine::Cksum;
 use proptest::prelude::*;
 
 /// Builds a chain holding `data` with an arbitrary fragmentation chosen
@@ -35,6 +39,71 @@ fn push_frag(chain: &mut MbufChain, mut frag: &[u8]) {
             chain.m_cat(MbufChain::from_mbuf(Mbuf::cluster(&frag[..n])));
         }
         frag = &frag[n..];
+    }
+}
+
+/// RFC 1071 by its definition: big-endian 16-bit words, one byte a
+/// step, folded at the end.
+fn bytewise_cksum(data: &[u8]) -> u16 {
+    let mut sum = 0u64;
+    for (i, &b) in data.iter().enumerate() {
+        let shift = if i % 2 == 0 { 8 } else { 0 };
+        sum += u64::from(b) << shift;
+    }
+    while sum >> 16 != 0 {
+        sum = (sum & 0xFFFF) + (sum >> 16);
+    }
+    !(sum as u16)
+}
+
+/// One mbuf holding `bytes` in storage `kind`: 0 small, 1 cluster,
+/// 2 external (at an odd offset inside a larger `VecBufIo`).
+fn mbuf_of(kind: u8, bytes: &[u8]) -> Mbuf {
+    match kind {
+        0 => Mbuf::small(bytes, MLEN - bytes.len()),
+        1 => Mbuf::cluster(bytes),
+        _ => {
+            let mut backing = vec![0xA5u8; bytes.len() + 8];
+            backing[3..3 + bytes.len()].copy_from_slice(bytes);
+            Mbuf::ext(VecBufIo::from_vec(backing), 3, bytes.len())
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// A pseudo-header plus a chain cut into empty, 1-byte, odd and
+    /// cluster-sized fragments of every storage kind sums like the flat
+    /// bytes summed one at a time.
+    #[test]
+    fn chain_cksum_matches_bytewise_reference(
+        pseudo in proptest::collection::vec(any::<u8>(), 12..13),
+        frags in proptest::collection::vec(
+            (
+                0u8..3,
+                prop_oneof![
+                    proptest::collection::vec(any::<u8>(), 0..2),
+                    proptest::collection::vec(any::<u8>(), 2..64),
+                    proptest::collection::vec(any::<u8>(), 64..MCLBYTES + 1),
+                ],
+            ),
+            0..10,
+        ),
+    ) {
+        let frags: Vec<(u8, Vec<u8>)> = frags;
+        let mut flat = pseudo.clone();
+        let mut chain = MbufChain::new();
+        for (kind, mut bytes) in frags {
+            if kind == 0 {
+                bytes.truncate(MLEN);
+            }
+            flat.extend_from_slice(&bytes);
+            chain.m_cat(MbufChain::from_mbuf(mbuf_of(kind, &bytes)));
+        }
+        let mut sum = Cksum::new();
+        sum.add(&pseudo);
+        chain.cksum_into(&mut sum);
+        prop_assert_eq!(sum.finish(), bytewise_cksum(&flat));
     }
 }
 

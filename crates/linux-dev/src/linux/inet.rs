@@ -17,6 +17,7 @@
 use super::netdevice::{eth_p, NetDevice, ETH_HLEN};
 use super::sched::WaitQueue;
 use super::skbuff::SkBuff;
+use oskit_machine::{pseudo_header, Cksum};
 use oskit_osenv::{OsEnv, TimerHandle};
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -31,22 +32,6 @@ pub const SNDBUF: usize = 128 * 1024;
 pub const RCVBUF: usize = 128 * 1024;
 /// Fixed retransmission timeout (ns).
 pub const RTO_NS: u64 = 200_000_000;
-
-/// The Internet checksum (RFC 1071).
-pub fn checksum(data: &[u8]) -> u16 {
-    let mut sum = 0u32;
-    let mut chunks = data.chunks_exact(2);
-    for c in &mut chunks {
-        sum += u32::from(u16::from_be_bytes([c[0], c[1]]));
-    }
-    if let [last] = chunks.remainder() {
-        sum += u32::from(u16::from_be_bytes([*last, 0]));
-    }
-    while sum >> 16 != 0 {
-        sum = (sum & 0xFFFF) + (sum >> 16);
-    }
-    !(sum as u16)
-}
 
 /// TCP connection states.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -727,7 +712,7 @@ impl LinuxInet {
                 return;
             }
             self.env.machine.charge_checksum(ihl);
-            if checksum(&p[..ihl]) != 0 {
+            if Cksum::new().add(&p[..ihl]).finish() != 0 {
                 return;
             }
             let proto = p[9];
@@ -748,6 +733,13 @@ impl LinuxInet {
         }
         self.env.machine.charge_layer();
         self.env.machine.charge_checksum(seg.len());
+        let sum = Cksum::new()
+            .add(&pseudo_header(src, self.ip, 6, seg.len()))
+            .add(seg)
+            .finish();
+        if sum != 0 {
+            return; // Corrupt segment.
+        }
         let sport = u16::from_be_bytes([seg[0], seg[1]]);
         let dport = u16::from_be_bytes([seg[2], seg[3]]);
         let seq = u32::from_be_bytes([seg[4], seg[5], seg[6], seg[7]]);
@@ -796,14 +788,10 @@ impl LinuxInet {
         seg[20..].copy_from_slice(payload);
         // Pseudo-header checksum.
         self.env.machine.charge_checksum(seg.len());
-        let mut pseudo = Vec::with_capacity(12 + seg.len());
-        pseudo.extend_from_slice(&local.0.octets());
-        pseudo.extend_from_slice(&remote.0.octets());
-        pseudo.push(0);
-        pseudo.push(6);
-        pseudo.extend_from_slice(&(seg.len() as u16).to_be_bytes());
-        pseudo.extend_from_slice(&seg);
-        let csum = checksum(&pseudo);
+        let csum = Cksum::new()
+            .add(&pseudo_header(local.0, remote.0, 6, seg.len()))
+            .add(&seg)
+            .finish();
         seg[16..18].copy_from_slice(&csum.to_be_bytes());
         self.ip_output(remote.0, 6, &seg);
     }
@@ -826,7 +814,7 @@ impl LinuxInet {
         p[12..16].copy_from_slice(&self.ip.octets());
         p[16..20].copy_from_slice(&dst.octets());
         self.env.machine.charge_checksum(20);
-        let csum = checksum(&p[..20]);
+        let csum = Cksum::new().add(&p[..20]).finish();
         p[10..12].copy_from_slice(&csum.to_be_bytes());
         p[20..].copy_from_slice(payload);
         self.route_output(dst, p);
@@ -890,11 +878,59 @@ mod tests {
         // Verifying against a hand-computed value.
         let data = [0x45u8, 0x00, 0x00, 0x73, 0x00, 0x00, 0x40, 0x00, 0x40, 0x11,
                     0x00, 0x00, 0xc0, 0xa8, 0x00, 0x01, 0xc0, 0xa8, 0x00, 0xc7];
-        assert_eq!(checksum(&data), 0xB861);
+        assert_eq!(Cksum::new().add(&data).finish(), 0xB861);
         // A packet with its checksum in place sums to zero.
         let mut with = data;
         with[10..12].copy_from_slice(&0xB861u16.to_be_bytes());
-        assert_eq!(checksum(&with), 0);
+        assert_eq!(Cksum::new().add(&with).finish(), 0);
+    }
+
+    #[test]
+    fn corrupt_segment_is_dropped_and_intact_copy_delivered() {
+        let (sim, ia, ib) = testbed();
+        let server_inet = Arc::clone(&ib);
+        sim.spawn("server", move || {
+            let ls = server_inet.socket();
+            ls.bind(7).unwrap();
+            ls.listen(1).unwrap();
+            let conn = ls.accept().unwrap();
+            // The data segment the client would send next.
+            let (local, remote, seq, ack) = {
+                let pcb = conn.pcb.lock();
+                (pcb.local, pcb.remote, pcb.rcv_nxt, pcb.snd_nxt)
+            };
+            let mut seg = vec![0u8; 20];
+            seg[0..2].copy_from_slice(&remote.1.to_be_bytes());
+            seg[2..4].copy_from_slice(&local.1.to_be_bytes());
+            seg[4..8].copy_from_slice(&seq.to_be_bytes());
+            seg[8..12].copy_from_slice(&ack.to_be_bytes());
+            seg[12] = 5 << 4;
+            seg[13] = tf::ACK | tf::PSH;
+            seg[14..16].copy_from_slice(&4096u16.to_be_bytes());
+            seg.extend_from_slice(b"hello");
+            let csum = Cksum::new()
+                .add(&pseudo_header(remote.0, local.0, 6, seg.len()))
+                .add(&seg)
+                .finish();
+            seg[16..18].copy_from_slice(&csum.to_be_bytes());
+            let mut bad = seg.clone();
+            bad[22] ^= 0x10; // One payload bit.
+            server_inet.tcp_input(remote.0, &bad);
+            assert!(!conn.readable(), "a corrupt segment reached the socket");
+            server_inet.tcp_input(remote.0, &seg);
+            let mut buf = [0u8; 16];
+            assert_eq!(conn.recv(&mut buf).unwrap(), 5);
+            assert_eq!(&buf[..5], b"hello");
+            conn.close();
+        });
+        let client_inet = Arc::clone(&ia);
+        sim.spawn("client", move || {
+            let s = client_inet.socket();
+            s.connect(Ipv4Addr::new(10, 0, 0, 2), 7).unwrap();
+            let mut buf = [0u8; 16];
+            while s.recv(&mut buf).unwrap() != 0 {}
+        });
+        sim.run();
     }
 
     #[test]

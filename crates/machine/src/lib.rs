@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cksum;
 pub mod costs;
 pub mod disk;
 pub mod irq;
@@ -22,6 +23,7 @@ pub mod timer;
 pub mod trap;
 pub mod uart;
 
+pub use cksum::{pseudo_header, Cksum};
 pub use costs::{CostModel, WorkMeter, WorkSnapshot};
 pub use disk::{Completion, Disk, DiskConfig, SECTOR_SIZE};
 pub use irq::{IrqController, IrqGuard, NUM_IRQS};

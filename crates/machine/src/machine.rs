@@ -150,7 +150,7 @@ impl Machine {
     }
 
     /// Charges a checksum pass over `bytes` bytes (booked on the
-    /// unattributed row).
+    /// unattributed row).  The host does the pass with [`crate::Cksum`].
     pub fn charge_checksum(&self, bytes: usize) {
         self.advance(self.costs.checksum_ns(bytes));
         self.trace_note(

@@ -94,7 +94,7 @@ fn lossy_transfer_cfg(
         while s.recv(&mut d).unwrap() != 0 {}
         *ss.lock().unwrap() = s.seg_stats();
     });
-    let (a, _) = tb.finish();
+    let (a, _, _) = tb.finish();
     let (tx, _) = *sent_stats.lock().unwrap();
     (tx, na.wire_dropped(), nb.wire_dropped(), a.faults)
 }

@@ -75,7 +75,7 @@ fn run_burst(napi: bool, payloads: Vec<Vec<u8>>, burst_len: usize, gap_ns: u64) 
         // watchdog to have done whatever they are going to do.
         let _ = rec.wait_timeout(&s2, 50_000_000);
     });
-    let (_, b) = tb.finish();
+    let (_, b, _) = tb.finish();
     let got = got.lock().clone();
     RigResult {
         got,

@@ -66,7 +66,7 @@ fn run_pattern(
         // Outlast the coalesce delay and a couple of watchdog periods.
         let _ = rec.wait_timeout(&s2, 20_000_000);
     });
-    let (_, b) = tb.finish();
+    let (_, b, _) = tb.finish();
     let got = got.lock().clone();
     (got, b.work)
 }

@@ -88,7 +88,7 @@ fn transmit(
         let rec = Arc::new(SleepRecord::new());
         let _ = rec.wait_timeout(&s2, 10_000_000);
     });
-    let (a, _) = tb.finish();
+    let (a, _, _) = tb.finish();
     let frames = got.lock().unwrap().clone();
     (frames, a.work)
 }

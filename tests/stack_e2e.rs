@@ -59,7 +59,8 @@ fn bulk_transfer(tb: Testbed, total: usize) -> (NodeReport, NodeReport) {
         let mut b = [0u8; 64];
         while sock.recv(&mut b).unwrap() != 0 {}
     });
-    tb.finish()
+    let (a, b, _) = tb.finish();
+    (a, b)
 }
 
 #[test]

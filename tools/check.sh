@@ -85,6 +85,13 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/table1 | diff - tools/golden/table1.txt
     ./target/release/table2 | diff - tools/golden/table2.txt
     ./target/release/table3 | diff - tools/golden/table3.txt
+    echo "==> per-cell scheduler counts (--sched) byte-identical to tools/golden/sched.txt"
+    # Token handoffs and events dispatched are deterministic host work: a
+    # scheduling regression shows up here as a counter diff, free of
+    # wall-time noise.
+    for t in table1 table2 table3; do
+        ./target/release/$t --sched | sed -n '/^sched counts/,$p'
+    done | diff - tools/golden/sched.txt
     echo "==> perfbench smoke: every workload correct (byte checks, cross-round determinism)"
     # 6 rounds a workload, traced and untraced alternating; each workload
     # ends with one JSON line whose "correct" must be true.
