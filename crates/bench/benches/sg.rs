@@ -1,11 +1,9 @@
 //! SG ablation: handing one outgoing packet to the driver under the tx
-//! glue's three dispatch modes, across packet sizes.
+//! glue's two skbuff-building modes, across packet sizes.
 //!
 //! * `copy` — the paper-faithful ladder for a discontiguous chain:
 //!   allocate a fresh skbuff and read every payload byte into it
 //!   (Table 1's send penalty).
-//! * `fake_mapped` — a contiguous foreign packet: wrap it in a "fake"
-//!   skbuff that borrows the mapping; no bytes move.
 //! * `sg` — an `NETIF_F_SG` driver and a chained packet: build a
 //!   fragment-list skbuff and walk the fragment descriptors; no bytes
 //!   move and no flattening.
@@ -15,7 +13,7 @@
 //! multi-fragment chain at the larger sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use oskit::com::interfaces::blkio::{BlkIo, BufIo, SgBufIo, VecBufIo};
+use oskit::com::interfaces::blkio::{BlkIo, BufIo};
 use oskit::freebsd_net::bsd::mbuf::{Mbuf, MbufChain};
 use oskit::freebsd_net::glue::bufio::MbufBufIo;
 use oskit::linux_dev::SkBuff;
@@ -45,22 +43,14 @@ fn bench(c: &mut Criterion) {
             })
         });
 
-        let contiguous = VecBufIo::from_vec(vec![0xABu8; size]) as Arc<dyn BufIo>;
-        g.bench_with_input(BenchmarkId::new("fake_mapped", size), &size, |b, &n| {
-            b.iter(|| {
-                let skb = SkBuff::fake_mapped(Arc::clone(&contiguous), n).unwrap();
-                skb.with_data(|d| black_box(u64::from(d[0]) + u64::from(d[n - 1])))
-            })
-        });
-
-        let sg = Arc::clone(&pkt) as Arc<dyn SgBufIo>;
+        let sg = Arc::clone(&pkt) as Arc<dyn BufIo>;
         g.bench_with_input(BenchmarkId::new("sg", size), &size, |b, &n| {
             b.iter(|| {
                 let skb = SkBuff::fake_sg(Arc::clone(&sg), n).unwrap();
                 skb.with_frags(|frags| {
                     let mut sum = frags.len() as u64;
                     for f in frags {
-                        sum += u64::from(f.data[0]);
+                        sum += u64::from(f[0]);
                     }
                     black_box(sum)
                 })

@@ -4,11 +4,12 @@
 //! component: the cache sits on top of *any* [`BlkIo`] (an encapsulated
 //! disk driver, a RAM disk, a partition view) and hands out cached
 //! blocks that are themselves first-class COM buffer objects.  Each
-//! [`CachedBlock`] implements the full buffer-I/O interface lattice —
-//! [`BlkIo`] ⊃ [`BufIo`] ⊃ [`SgBufIo`] — so a block borrowed from the
-//! cache can flow *across* component boundaries without copying: the
-//! file system hands it to the socket layer as external mbuf storage,
-//! the socket layer hands it to a scatter-gather NIC driver, and the
+//! [`CachedBlock`] answers both buffer-I/O interfaces, [`BlkIo`] and its
+//! extension [`BufIo`] (whose one-fragment gather view comes with it),
+//! so a block borrowed from the cache can flow *across* component
+//! boundaries without copying: the file system hands it to the socket
+//! layer as external mbuf storage, the socket layer hands it to a
+//! scatter-gather NIC driver, and the
 //! bytes the disk driver DMA'd into the cache page are the bytes the
 //! NIC gathers onto the wire.  That is the zero-copy `sendfile` path;
 //! see `EXPERIMENTS.md` (table3).
@@ -28,7 +29,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
+use oskit_com::interfaces::blkio::{BlkIo, BufIo};
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
 use oskit_trace::{boundary, EventKind, Tracer};
 use parking_lot::Mutex;
@@ -42,7 +43,7 @@ use std::sync::Arc;
 pub const FILL_RETRIES: usize = 3;
 
 /// One cached, refcounted, pinnable block — a first-class COM buffer
-/// object implementing [`BlkIo`], [`BufIo`] and [`SgBufIo`].
+/// object implementing [`BlkIo`] and [`BufIo`].
 ///
 /// The block *is* the cache page: mapping it ([`BufIo::with_map`]) hands
 /// out the cache's own storage zero-copy, and holding the `Arc` pins the
@@ -172,9 +173,7 @@ impl BufIo for CachedBlock {
     }
 }
 
-impl SgBufIo for CachedBlock {}
-
-com_object!(CachedBlock, me, [BlkIo, BufIo, SgBufIo]);
+com_object!(CachedBlock, me, [BlkIo, BufIo]);
 
 struct Entry {
     block: Arc<CachedBlock>,
@@ -513,8 +512,10 @@ mod tests {
         let mut buf = vec![0u8; BS];
         assert_eq!(dev.read(&mut buf, BS as u64).unwrap(), BS);
         assert!(buf.iter().all(|&v| v == 0xAA), "eviction must write back");
-        // And sync writes back a still-resident dirty block.
+        // A still-resident dirty block reaches the device only on sync.
         c.bmodify(2, |d| d.fill(0xBB)).unwrap();
+        assert_eq!(dev.read(&mut buf, 2 * BS as u64).unwrap(), BS);
+        assert!(!buf.iter().all(|&v| v == 0xBB), "write must be delayed");
         c.sync().unwrap();
         assert_eq!(dev.read(&mut buf, 2 * BS as u64).unwrap(), BS);
         assert!(buf.iter().all(|&v| v == 0xBB));
@@ -550,6 +551,8 @@ mod tests {
         let dev = Arc::clone(&backing) as Arc<dyn BlkIo>;
         let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         c.bwrite_full(2, &vec![7u8; BS]).unwrap();
+        // Reading the block back is a hit: the device read panics.
+        assert_eq!(c.bread_with(2, |d| d[100]).unwrap(), 7);
         c.sync().unwrap();
         let d = backing.0.lock();
         assert!(d[2 * BS..3 * BS].iter().all(|&v| v == 7));
@@ -560,11 +563,14 @@ mod tests {
     fn held_handle_is_never_evicted() {
         let dev = ram_dev(64);
         let c = BufCache::new(&dev, BS, 4, &Tracer::new());
+        c.bmodify(0, |d| d[10..14].copy_from_slice(b"page")).unwrap();
         let held = c.bread(0).unwrap();
         for blk in 1..20 {
             let _ = c.bread(blk).unwrap();
         }
         assert!(c.cached(0), "held block evicted");
+        // The handle lends the cache page itself, modification included.
+        held.with_map(10, 4, &mut |s| assert_eq!(s, b"page")).unwrap();
         drop(held);
         for blk in 20..30 {
             let _ = c.bread(blk).unwrap();
@@ -597,14 +603,13 @@ mod tests {
         let dev = ram_dev(8);
         let c = BufCache::new(&dev, BS, 4, &Tracer::new());
         let b = c.bread(1).unwrap();
-        // Upcast chain: SgBufIo → BufIo → BlkIo, per the interface
-        // lattice (COMPONENTS.md).
-        let sg = b.query::<dyn SgBufIo>().expect("sg");
-        let buf: Arc<dyn BufIo> = sg.query::<dyn BufIo>().expect("bufio upcast");
-        let blk: Arc<dyn BlkIo> = buf.query::<dyn BlkIo>().expect("blkio upcast");
+        // Both levels of the chain answer a query (COMPONENTS.md), and
+        // the page gathers as one fragment.
+        let buf: Arc<dyn BufIo> = b.query::<dyn BufIo>().expect("bufio");
+        let blk: Arc<dyn BlkIo> = buf.query::<dyn BlkIo>().expect("blkio");
         assert_eq!(blk.get_block_size(), BS);
         let mut frags = 0;
-        sg.with_map_fragments(0, BS, &mut |fs| frags = fs.len()).unwrap();
+        buf.with_map_fragments(0, BS, &mut |fs| frags = fs.len()).unwrap();
         assert_eq!(frags, 1);
     }
 

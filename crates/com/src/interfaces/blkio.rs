@@ -92,49 +92,31 @@ pub trait BufIo: BlkIo {
 
     /// Releases a [`BufIo::wire`] pin.
     fn unwire(&self) {}
-}
-com_interface_decl!(BufIo, crate::guid::oskit_iid(0x82), "oskit_bufio");
 
-/// One contiguous piece of a scatter-gather view of a buffer object.
-///
-/// A fragment borrows the implementor's storage directly — exposing a
-/// fragment is zero-copy by construction, exactly like a successful
-/// [`BufIo::with_map`].
-#[derive(Clone, Copy, Debug)]
-pub struct IoFragment<'a> {
-    /// The fragment's bytes.
-    pub data: &'a [u8],
-}
-
-/// Scatter-gather buffer I/O: the vectored extension of [`BufIo`].
-///
-/// [`BufIo::with_map`] answers "is the range *contiguous* in local
-/// memory?"; this interface relaxes the question to "is the range *in*
-/// local memory?", exposing it as an ordered list of contiguous
-/// fragments.  A chained packet (headers in one buffer, payload in
-/// another) that `with_map` must refuse can still be handed to
-/// scatter-gather-capable hardware without flattening — which is how the
-/// Table 1 send-path copy becomes avoidable when the driver supports it.
-///
-/// Contiguous implementors get the interface for free: the provided
-/// method presents the mapped range as a single fragment.
-pub trait SgBufIo: BufIo {
-    /// Calls `f` with bytes `[offset, offset+len)` as an ordered fragment
-    /// list, borrowed zero-copy from local storage.
+    /// Calls `f` with bytes `[offset, offset+len)` as an ordered list of
+    /// contiguous fragments, borrowed zero-copy from local storage.
+    ///
+    /// [`BufIo::with_map`] answers "is the range *contiguous* in local
+    /// memory?"; this relaxes the question to "is the range *in* local
+    /// memory?".  A chained packet (headers in one buffer, payload in
+    /// another) that `with_map` must refuse can still be handed to
+    /// scatter-gather hardware without flattening.  The provided method
+    /// presents the mapped range as one fragment, so a contiguous object
+    /// answers exactly as `with_map` does; chained storage overrides it.
     ///
     /// Returns [`Error::NotImpl`] when some part of the range does not
-    /// reside in local memory (the caller falls back to `with_map`/`read`)
-    /// and [`Error::Inval`] when the range exceeds the object.
+    /// reside in local memory (the caller falls back to `read`) and
+    /// [`Error::Inval`] when the range exceeds the object.
     fn with_map_fragments(
         &self,
         offset: usize,
         len: usize,
-        f: &mut dyn FnMut(&[IoFragment<'_>]),
+        f: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
-        self.with_map(offset, len, &mut |d| f(&[IoFragment { data: d }]))
+        self.with_map(offset, len, &mut |d| f(&[d]))
     }
 }
-com_interface_decl!(SgBufIo, crate::guid::oskit_iid(0x8d), "oskit_bufio_sg");
+com_interface_decl!(BufIo, crate::guid::oskit_iid(0x82), "oskit_bufio");
 
 /// A simple heap-backed [`BufIo`], used when packets must be manufactured
 /// from scratch (and by tests).
@@ -225,91 +207,25 @@ impl BufIo for VecBufIo {
     }
 }
 
-impl SgBufIo for VecBufIo {}
-
-crate::com_object!(VecBufIo, me, [BlkIo, BufIo, SgBufIo]);
-
-/// The buffer-I/O interface lattice, as seen by [`crate::Query`]:
-/// `SgBufIo` ⊂ `BufIo` ⊂ `BlkIo`.
-///
-/// `query_any` only answers the interfaces an object explicitly
-/// registered; this fallback makes a query for a *supertype* succeed
-/// through any registered subtype, so `BufIo` is a true subtype of
-/// `BlkIo` at the COM level — a `BUFIO_IID` object always answers
-/// `BLKIO_IID`, and an `SgBufIo` object always answers `BUFIO_IID` —
-/// regardless of how its `com_object!` list was spelled.
-pub(crate) fn upcast_query(
-    obj: &(impl IUnknown + ?Sized),
-    iid: &Guid,
-) -> Option<crate::AnyRef> {
-    use crate::ComInterface;
-    if *iid == <dyn BlkIo as ComInterface>::IID {
-        let b = bufio_leg(obj)?;
-        return Some(crate::AnyRef::new::<dyn BlkIo>(b as Arc<dyn BlkIo>));
-    }
-    if *iid == <dyn BufIo as ComInterface>::IID {
-        let sg = obj
-            .query_any(&<dyn SgBufIo as ComInterface>::IID)?
-            .downcast::<dyn SgBufIo>()?;
-        return Some(crate::AnyRef::new::<dyn BufIo>(sg as Arc<dyn BufIo>));
-    }
-    None
-}
-
-/// Finds *some* buffer-I/O view of `obj`: directly as `BufIo`, or through
-/// the `SgBufIo` leg of the lattice.
-fn bufio_leg(obj: &(impl IUnknown + ?Sized)) -> Option<Arc<dyn BufIo>> {
-    use crate::ComInterface;
-    if let Some(b) = obj
-        .query_any(&<dyn BufIo as ComInterface>::IID)
-        .and_then(|r| r.downcast::<dyn BufIo>())
-    {
-        return Some(b);
-    }
-    let sg = obj
-        .query_any(&<dyn SgBufIo as ComInterface>::IID)?
-        .downcast::<dyn SgBufIo>()?;
-    Some(sg as Arc<dyn BufIo>)
-}
+crate::com_object!(VecBufIo, me, [BlkIo, BufIo]);
 
 /// Copies the full contents of a [`BufIo`] into a fresh `Vec`.
 ///
-/// Prefers the zero-copy views in cheapness order — the fragment list if
-/// the object is scatter-gather capable, then the contiguous map — and
-/// falls back on `read`, exactly like the driver glue in paper §4.7.3.
-/// An object whose mapped bytes disagree with its declared size is
-/// malformed: that is reported as [`Error::Inval`], never truncated
-/// silently.
+/// Gathers the fragment view (one fragment for a contiguous object) and
+/// falls back on `read` when the bytes are not in local memory, exactly
+/// like the driver glue in paper §4.7.3.  An object whose mapped bytes
+/// disagree with its declared size is malformed: that is reported as
+/// [`Error::Inval`], never truncated silently.
 pub fn bufio_to_vec(b: &dyn BufIo) -> Result<Vec<u8>> {
     let len = b.get_size()? as usize;
     let mut out = Vec::with_capacity(len);
-    // Fragment view first: honors chained storage without flattening
-    // assumptions about contiguity.
-    if let Some(sg) = crate::Query::query::<dyn SgBufIo>(b) {
-        match sg.with_map_fragments(0, len, &mut |fs| {
-            for frag in fs {
-                out.extend_from_slice(frag.data);
-            }
-        }) {
-            Ok(()) => {
-                return if out.len() == len {
-                    Ok(out)
-                } else {
-                    Err(Error::Inval)
-                };
-            }
-            Err(Error::NotImpl) => out.clear(),
-            Err(e) => return Err(e),
+    match b.with_map_fragments(0, len, &mut |fs| {
+        for frag in fs {
+            out.extend_from_slice(frag);
         }
-    }
-    match b.with_map(0, len, &mut |s| out.extend_from_slice(s)) {
-        Ok(()) => {
-            if out.len() == len {
-                Ok(out)
-            } else {
-                Err(Error::Inval)
-            }
-        }
+    }) {
+        Ok(()) if out.len() == len => Ok(out),
+        Ok(()) => Err(Error::Inval),
         Err(Error::NotImpl) => {
             let mut copy = vec![0u8; len];
             let n = b.read(&mut copy, 0)?;
@@ -379,12 +295,12 @@ mod tests {
 
     #[test]
     fn contiguous_bufio_maps_as_one_fragment() {
-        // The provided SgBufIo method: a contiguous object is a trivial
+        // The provided fragment view: a contiguous object is a trivial
         // one-fragment gather list.
         let b = VecBufIo::from_vec((0..50).collect());
         let mut frags = Vec::new();
         b.with_map_fragments(10, 30, &mut |fs| {
-            frags = fs.iter().map(|f| f.data.to_vec()).collect();
+            frags = fs.iter().map(|f| f.to_vec()).collect();
         })
         .unwrap();
         assert_eq!(frags.len(), 1);
@@ -398,100 +314,22 @@ mod tests {
     }
 
     #[test]
-    fn bufio_queries_to_sg_bufio() {
-        // A client holding plain bufio can discover the scatter-gather
-        // extension, same discovery dance as blkio→bufio.
-        let b = VecBufIo::from_vec(vec![3; 8]);
-        let buf: Arc<dyn BufIo> = b.query::<dyn BufIo>().unwrap();
-        let sg = buf.query::<dyn SgBufIo>().unwrap();
-        sg.with_map_fragments(0, 8, &mut |fs| assert_eq!(fs[0].data.len(), 8))
-            .unwrap();
-    }
-
-    #[test]
     fn set_size_resizes() {
         let b = VecBufIo::with_len(2);
         b.set_size(5).unwrap();
         assert_eq!(b.get_size().unwrap(), 5);
     }
 
-    /// A buffer object that (wrongly, but legally pre-lattice) registers
-    /// only the leaf interface of its inheritance chain.
-    struct LeafOnly {
-        me: crate::SelfRef<LeafOnly>,
-        data: Vec<u8>,
-    }
-    impl BlkIo for LeafOnly {
-        fn get_block_size(&self) -> usize {
-            1
-        }
-        fn read(&self, buf: &mut [u8], offset: u64) -> Result<usize> {
-            let off = offset as usize;
-            if off >= self.data.len() {
-                return Ok(0);
-            }
-            let n = buf.len().min(self.data.len() - off);
-            buf[..n].copy_from_slice(&self.data[off..off + n]);
-            Ok(n)
-        }
-        fn write(&self, _buf: &[u8], _offset: u64) -> Result<usize> {
-            Err(Error::NotImpl)
-        }
-        fn get_size(&self) -> Result<u64> {
-            Ok(self.data.len() as u64)
-        }
-    }
-    impl BufIo for LeafOnly {
-        fn with_map(&self, offset: usize, len: usize, f: &mut dyn FnMut(&[u8])) -> Result<()> {
-            let end = offset.checked_add(len).ok_or(Error::Inval)?;
-            if end > self.data.len() {
-                return Err(Error::Inval);
-            }
-            f(&self.data[offset..end]);
-            Ok(())
-        }
-        fn with_map_mut(
-            &self,
-            _offset: usize,
-            _len: usize,
-            _f: &mut dyn FnMut(&mut [u8]),
-        ) -> Result<()> {
-            Err(Error::NotImpl)
-        }
-    }
-    impl SgBufIo for LeafOnly {}
-    crate::com_object!(LeafOnly, me, [SgBufIo]);
-
     #[test]
     fn bufio_upcasts_to_blkio_on_every_bufio_object() {
-        // The lattice makes BufIo a *true subtype* of BlkIo: the upcast
-        // works even when the object's com_object! list never mentioned
-        // the supertype.
-        let b = crate::new_com(
-            LeafOnly {
-                me: crate::SelfRef::new(),
-                data: vec![42; 6],
-            },
-            |o| &o.me,
-        );
-        let sg: Arc<dyn SgBufIo> = b.query::<dyn SgBufIo>().unwrap();
-        let buf: Arc<dyn BufIo> = sg.query::<dyn BufIo>().expect("SgBufIo → BufIo upcast");
-        let blk: Arc<dyn BlkIo> = buf.query::<dyn BlkIo>().expect("BufIo → BlkIo upcast");
+        // BufIo extends BlkIo, so every bufio reference upcasts to a
+        // blkio one statically, with no query and whatever the object's
+        // com_object! list says.
+        let buf: Arc<dyn BufIo> = VecBufIo::from_vec(vec![42; 6]);
+        let blk: Arc<dyn BlkIo> = buf;
         let mut probe = [0u8; 6];
         assert_eq!(blk.read(&mut probe, 0).unwrap(), 6);
         assert_eq!(probe, [42; 6]);
-        // And in one hop from the leaf.
-        assert!(sg.query::<dyn BlkIo>().is_some());
-    }
-
-    #[test]
-    fn fully_registered_objects_upcast_too() {
-        let b = VecBufIo::with_len(4);
-        let sg = b.query::<dyn SgBufIo>().unwrap();
-        assert!(sg.query::<dyn BufIo>().is_some());
-        assert!(sg.query::<dyn BlkIo>().is_some());
-        let buf = b.query::<dyn BufIo>().unwrap();
-        assert!(buf.query::<dyn BlkIo>().is_some());
     }
 
     /// A two-fragment buffer: `with_map` refuses (discontiguous), the
@@ -534,22 +372,20 @@ mod tests {
         ) -> Result<()> {
             Err(Error::NotImpl)
         }
-    }
-    impl SgBufIo for TwoFrags {
         fn with_map_fragments(
             &self,
             offset: usize,
             len: usize,
-            f: &mut dyn FnMut(&[IoFragment<'_>]),
+            f: &mut dyn FnMut(&[&[u8]]),
         ) -> Result<()> {
             if offset != 0 || len != self.a.len() + self.b.len() {
                 return Err(Error::NotImpl);
             }
-            f(&[IoFragment { data: &self.a }, IoFragment { data: &self.b }]);
+            f(&[&self.a, &self.b]);
             Ok(())
         }
     }
-    crate::com_object!(TwoFrags, me, [BlkIo, BufIo, SgBufIo]);
+    crate::com_object!(TwoFrags, me, [BlkIo, BufIo]);
 
     #[test]
     fn bufio_to_vec_honors_fragment_lists() {

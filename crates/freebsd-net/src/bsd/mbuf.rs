@@ -116,18 +116,6 @@ impl Mbuf {
         }
     }
 
-    /// The live bytes as a direct borrow, when the storage is local (a
-    /// small mbuf or a cluster); `None` for external storage, whose bytes
-    /// are only reachable through the foreign bufio's own map protocol.
-    pub fn local_data(&self) -> Option<&[u8]> {
-        match &self.data {
-            MbufData::Small(v) | MbufData::Cluster(v) => {
-                Some(&v[self.off..self.off + self.len])
-            }
-            MbufData::Ext(_) => None,
-        }
-    }
-
     /// Trims `n` bytes from the front.
     fn adj_front(&mut self, n: usize) {
         assert!(n <= self.len);
@@ -142,42 +130,60 @@ impl Mbuf {
     }
 }
 
-/// The recursive heart of [`MbufChain::with_fragments`]: accumulates
-/// borrowed slices mbuf by mbuf and calls `done` once the window is
-/// covered.  Continuation-passing style because an external mbuf's bytes
-/// only exist *inside* its bufio's `with_map` callback — recursing within
-/// that callback keeps every borrow alive until `done` runs, with no
-/// `unsafe` lifetime laundering.  Returns `false` if a foreign buffer
-/// declined to map.
+/// One fragment of a walk in progress, linked to the fragment before it.
+/// The list lives on the walk's own stack frames, so growing it by one
+/// fragment allocates nothing.
+struct FragLink<'a> {
+    data: &'a [u8],
+    prev: Option<&'a FragLink<'a>>,
+}
+
+/// The recursive heart of [`MbufChain::with_fragments`]: links borrowed
+/// slices mbuf by mbuf (`acc` is the last one, `count` the list length)
+/// and calls `done` once the window is covered, with the list collected
+/// in order into one vector.  Continuation-passing style because an
+/// external mbuf's bytes only exist *inside* its bufio's `with_map`
+/// callback — recursing within that callback keeps every borrow alive
+/// until `done` runs, with no `unsafe` lifetime laundering.  Returns
+/// `false` if a foreign buffer declined to map.
 fn walk_fragments(
     bufs: &[Mbuf],
     off: usize,
     len: usize,
-    acc: &[&[u8]],
+    acc: Option<&FragLink<'_>>,
+    count: usize,
     done: &mut dyn FnMut(&[&[u8]]),
 ) -> bool {
     if len == 0 {
-        done(acc);
+        let mut frags = Vec::with_capacity(count);
+        let mut link = acc;
+        while let Some(l) = link {
+            frags.push(l.data);
+            link = l.prev;
+        }
+        frags.reverse();
+        done(&frags);
         return true;
     }
     let m = &bufs[0];
     if off >= m.len() {
-        return walk_fragments(&bufs[1..], off - m.len(), len, acc, done);
+        return walk_fragments(&bufs[1..], off - m.len(), len, acc, count, done);
     }
     let take = (m.len() - off).min(len);
     match &m.data {
         MbufData::Small(v) | MbufData::Cluster(v) => {
-            let d = &v[m.off + off..m.off + off + take];
-            let mut acc2: Vec<&[u8]> = acc.to_vec();
-            acc2.push(d);
-            walk_fragments(&bufs[1..], 0, len - take, &acc2, done)
+            let link = FragLink {
+                data: &v[m.off + off..m.off + off + take],
+                prev: acc,
+            };
+            walk_fragments(&bufs[1..], 0, len - take, Some(&link), count + 1, done)
         }
         MbufData::Ext(b) => {
             let mut inner_ok = false;
             let mapped = b.with_map(m.off + off, take, &mut |s| {
-                let mut acc2: Vec<&[u8]> = acc.to_vec();
-                acc2.push(s);
-                inner_ok = walk_fragments(&bufs[1..], 0, len - take, &acc2, done);
+                let link = FragLink { data: s, prev: acc };
+                inner_ok =
+                    walk_fragments(&bufs[1..], 0, len - take, Some(&link), count + 1, done);
             });
             mapped.is_ok() && inner_ok
         }
@@ -395,7 +401,7 @@ impl MbufChain {
         );
         let mut out = None;
         let mut f = Some(f);
-        let ok = walk_fragments(&self.bufs, off, len, &[], &mut |frags| {
+        let ok = walk_fragments(&self.bufs, off, len, None, 0, &mut |frags| {
             if let Some(f) = f.take() {
                 out = Some(f(frags));
             }
@@ -428,7 +434,7 @@ impl MbufChain {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oskit_com::interfaces::blkio::VecBufIo;
+    use oskit_com::interfaces::blkio::{BlkIo, VecBufIo};
 
     #[test]
     fn from_slice_fragments_into_clusters() {
@@ -607,7 +613,7 @@ mod tests {
     struct Unmappable {
         me: oskit_com::SelfRef<Unmappable>,
     }
-    impl oskit_com::interfaces::blkio::BlkIo for Unmappable {
+    impl BlkIo for Unmappable {
         fn get_block_size(&self) -> usize {
             1
         }
@@ -640,7 +646,7 @@ mod tests {
             Err(oskit_com::Error::NotImpl)
         }
     }
-    oskit_com::com_object!(Unmappable, me, [BufIo]);
+    oskit_com::com_object!(Unmappable, me, [BlkIo, BufIo]);
 
     #[test]
     fn fragments_refuse_unmappable_external_storage() {

@@ -125,6 +125,10 @@ impl UdpSock {
             .add(&hdr)
             .add(buf)
             .finish();
+        // A computed zero goes out as its ones'-complement twin 0xFFFF:
+        // a zero field means "no checksum" (RFC 768), and the receiver
+        // would skip verifying the datagram.
+        let csum = if csum == 0 { 0xFFFF } else { csum };
         hdr[6..8].copy_from_slice(&csum.to_be_bytes());
         let mut seg = MbufChain::from_mbuf(Mbuf::small(&hdr, MLEN - UDP_HDR_LEN));
         seg.m_cat(MbufChain::from_slice(buf));

@@ -9,7 +9,7 @@
 //! cost one copy on the send path.
 
 use crate::bsd::mbuf::MbufChain;
-use oskit_com::interfaces::blkio::{BlkIo, BufIo, IoFragment, SgBufIo};
+use oskit_com::interfaces::blkio::{BlkIo, BufIo};
 use oskit_com::{com_object, new_com, Error, Result, SelfRef};
 use std::sync::Arc;
 
@@ -82,14 +82,12 @@ impl BufIo for MbufBufIo {
     fn with_map_mut(&self, _o: usize, _l: usize, _f: &mut dyn FnMut(&mut [u8])) -> Result<()> {
         Err(Error::NotImpl)
     }
-}
 
-impl SgBufIo for MbufBufIo {
     fn with_map_fragments(
         &self,
         offset: usize,
         len: usize,
-        f: &mut dyn FnMut(&[IoFragment<'_>]),
+        f: &mut dyn FnMut(&[&[u8]]),
     ) -> Result<()> {
         // The vectored relaxation of `with_map`: the chain maps as a
         // fragment list with no flattening.  External (foreign-buffer)
@@ -102,16 +100,12 @@ impl SgBufIo for MbufBufIo {
             return Err(Error::Inval);
         }
         self.chain
-            .with_fragments(offset, len, |parts| {
-                let frags: Vec<IoFragment<'_>> =
-                    parts.iter().map(|&data| IoFragment { data }).collect();
-                f(&frags);
-            })
+            .with_fragments(offset, len, f)
             .ok_or(Error::NotImpl)
     }
 }
 
-com_object!(MbufBufIo, me, [BlkIo, BufIo, SgBufIo]);
+com_object!(MbufBufIo, me, [BlkIo, BufIo]);
 
 #[cfg(test)]
 mod tests {
@@ -149,13 +143,13 @@ mod tests {
     #[test]
     fn chained_packet_maps_as_fragments() {
         // The same chain that refuses `with_map` exposes itself as a
-        // zero-copy fragment list through the scatter-gather extension.
+        // zero-copy fragment list through the gather view.
         let mut chain = MbufChain::from_slice(&[0xDD; 1460]);
         chain.m_prepend(&[0xBB; 54]);
         let b = MbufBufIo::new(chain);
         let mut lens = Vec::new();
         b.with_map_fragments(0, 1514, &mut |fs| {
-            lens = fs.iter().map(|f| f.data.len()).collect();
+            lens = fs.iter().map(|f| f.len()).collect();
         })
         .unwrap();
         assert_eq!(lens, vec![54, 1460]);
@@ -178,7 +172,7 @@ mod tests {
         let b = MbufBufIo::new(chain);
         let mut lens = Vec::new();
         b.with_map_fragments(0, 62, &mut |fs| {
-            lens = fs.iter().map(|f| f.data.len()).collect();
+            lens = fs.iter().map(|f| f.len()).collect();
         })
         .unwrap();
         assert_eq!(lens, vec![14, 48]);

@@ -1,7 +1,7 @@
 //! Property tests: mbuf chains against a flat-vector model.  The chain
 //! operations (prepend, adjust, copy, concatenate, pull-up) must agree
 //! with plain byte-slice semantics no matter how the chain is fragmented,
-//! and the chain's Internet checksum must agree with the checksum of the
+//! and the chain's Internet checksum and fragment walk must agree with the
 //! flat bytes.
 
 use oskit_com::interfaces::blkio::VecBufIo;
@@ -104,6 +104,34 @@ proptest! {
         sum.add(&pseudo);
         chain.cksum_into(&mut sum);
         prop_assert_eq!(sum.finish(), bytewise_cksum(&flat));
+    }
+
+    /// Any window of a chain of small, cluster and external mbufs walks
+    /// as one fragment per mbuf touched, and the fragments concatenate
+    /// to the window's flat bytes.
+    #[test]
+    fn fragments_concatenate_to_the_flat_window(
+        frags in proptest::collection::vec(
+            (0u8..3, proptest::collection::vec(any::<u8>(), 1..MLEN + 1)),
+            1..12,
+        ),
+        off in 0usize..4000,
+        len in 0usize..4000,
+    ) {
+        let frags: Vec<(u8, Vec<u8>)> = frags;
+        let mut chain = MbufChain::new();
+        for (kind, bytes) in &frags {
+            chain.m_cat(MbufChain::from_mbuf(mbuf_of(*kind, bytes)));
+        }
+        let flat = chain.to_vec();
+        let off = off % flat.len();
+        let len = len % (flat.len() - off + 1);
+        let (joined, n) = chain
+            .with_fragments(off, len, |fs| (fs.concat(), fs.len()))
+            .expect("local and mappable external storage both gather");
+        prop_assert_eq!(&joined[..], &flat[off..off + len]);
+        prop_assert!(n <= chain.num_bufs());
+        prop_assert_eq!(n == 0, len == 0);
     }
 }
 

@@ -14,7 +14,7 @@
 use crate::linux::netdevice::{NetDevice, NETIF_F_SG};
 use crate::linux::sched::CurrentPtr;
 use crate::linux::skbuff::SkBuff;
-use oskit_com::interfaces::blkio::{BlkIo, BufIo, SgBufIo};
+use oskit_com::interfaces::blkio::{BlkIo, BufIo};
 use oskit_com::interfaces::netio::{EtherAddr, EtherDev, NetIo};
 use oskit_com::{com_interface_decl, com_object, new_com, oskit_iid, Error, IUnknown, Query, Result, SelfRef};
 use oskit_osenv::OsEnv;
@@ -100,11 +100,7 @@ impl SkbIo for SkbBufIo {
     }
 }
 
-// An skbuff is contiguous, so the provided single-fragment gather view
-// suffices.
-impl SgBufIo for SkbBufIo {}
-
-com_object!(SkbBufIo, me, [BlkIo, BufIo, SgBufIo, SkbIo]);
+com_object!(SkbBufIo, me, [BlkIo, BufIo, SkbIo]);
 
 /// The COM Ethernet device exported by the Linux driver glue.
 pub struct LinuxEtherDev {
@@ -209,17 +205,15 @@ impl NetIo for LinuxTxNetIo {
         // later grew; the probe-map/copy ladder below remains the
         // paper-faithful default.
         if self.dev.has_feature(NETIF_F_SG) {
-            if let Some(sg) = pkt.query::<dyn SgBufIo>() {
-                match SkBuff::fake_sg(sg, len) {
-                    Ok(skb) => {
-                        self.dev.hard_start_xmit(&skb);
-                        return Ok(());
-                    }
-                    // Fragments not locally mappable (e.g. external
-                    // storage): fall through to the ladder.
-                    Err(Error::NotImpl) => {}
-                    Err(e) => return Err(e),
+            match SkBuff::fake_sg(Arc::clone(&pkt), len) {
+                Ok(skb) => {
+                    self.dev.hard_start_xmit(&skb);
+                    return Ok(());
                 }
+                // Fragments not locally mappable (e.g. external
+                // storage): fall through to the ladder.
+                Err(Error::NotImpl) => {}
+                Err(e) => return Err(e),
             }
         }
 
@@ -303,13 +297,11 @@ mod tests {
         fn with_map_mut(&self, _: usize, _: usize, _: &mut dyn FnMut(&mut [u8])) -> Result<()> {
             Err(Error::NotImpl)
         }
-    }
-    impl oskit_com::interfaces::blkio::SgBufIo for ChainBufIo {
         fn with_map_fragments(
             &self,
             mut offset: usize,
             mut len: usize,
-            f: &mut dyn FnMut(&[oskit_com::interfaces::blkio::IoFragment<'_>]),
+            f: &mut dyn FnMut(&[&[u8]]),
         ) -> Result<()> {
             let total: usize = self.parts.iter().map(Vec::len).sum();
             let end = offset.checked_add(len).ok_or(Error::Inval)?;
@@ -326,9 +318,7 @@ mod tests {
                     continue;
                 }
                 let take = (p.len() - offset).min(len);
-                frags.push(oskit_com::interfaces::blkio::IoFragment {
-                    data: &p[offset..offset + take],
-                });
+                frags.push(&p[offset..offset + take]);
                 len -= take;
                 offset = 0;
             }
@@ -336,7 +326,7 @@ mod tests {
             Ok(())
         }
     }
-    com_object!(ChainBufIo, me, [BlkIo, BufIo, SgBufIo]);
+    com_object!(ChainBufIo, me, [BlkIo, BufIo]);
 
     type Keep = (Arc<LinuxEtherDev>, Arc<LinuxEtherDev>, Arc<dyn NetIo>);
     /// (sim, machine a, tx netio a, machine b, frames b received, keep-alives).
@@ -474,8 +464,8 @@ mod tests {
 
     #[test]
     fn non_sg_driver_never_gathers() {
-        // With the feature off, the SG interface is never even queried:
-        // the copy ladder runs exactly as in the paper.
+        // With the feature off, the fragment view is never even asked
+        // for: the copy ladder runs exactly as in the paper.
         let (sim, ma, tx_a, _mb, got, _keep) = setup();
         let f = frame(&[0x44; 300]);
         let parts = vec![f[..100].to_vec(), f[100..].to_vec()];

@@ -297,9 +297,8 @@ impl NetDevice {
     }
 
     /// `dev->hard_start_xmit()`: transmits one frame.  On the classic
-    /// path the hardware wants one contiguous buffer — which an skbuff by
-    /// construction is; mapped "fake" skbuffs read through their mapping
-    /// with no copy.  A fragment-list skbuff instead takes the
+    /// path the hardware wants one contiguous buffer — which an owned
+    /// skbuff by construction is.  A fragment-list skbuff instead takes the
     /// [`NETIF_F_SG`] path: the driver walks `skb_shinfo->frags` and
     /// programs one gather descriptor per fragment, charging descriptor
     /// writes (a `gather`), never a copy.
@@ -316,13 +315,12 @@ impl NetDevice {
                 self.name
             );
             skb.with_frags(|frags| {
-                let parts: Vec<&[u8]> = frags.iter().map(|fr| fr.data).collect();
                 self.env.machine.charge_gather_at(
                     oskit_machine::boundary!("linux-dev", "ether_tx"),
                     skb.len(),
-                    parts.len(),
+                    frags.len(),
                 );
-                self.hw.transmit_sg(&parts);
+                self.hw.transmit_sg(frags);
             });
             self.stats.tx_packets.fetch_add(1, Ordering::Relaxed);
             self.tx_watchdog();

@@ -4,11 +4,12 @@
 //! it keeps Linux 2.0's names and semantics (`alloc_skb`, `skb_reserve`,
 //! `skb_put`, `skb_push`, `skb_pull`, the head/data/tail/end layout) so
 //! the glue around it has something real to encapsulate.  The one Rust
-//! twist is [`SkbStorage::Mapped`]: the "fake skbuff pointing directly to
-//! this data" that the glue manufactures when a foreign `bufio` maps
-//! contiguously (§4.7.3) — read-only, used only on the transmit hand-off.
+//! twist is [`SkbStorage::Lent`]: the "fake skbuff pointing directly to
+//! this data" (§4.7.3) that an `NETIF_F_SG` driver's glue manufactures
+//! when a foreign `bufio` exposes its bytes as local fragments —
+//! read-only, used only on the transmit hand-off.
 
-use oskit_com::interfaces::blkio::{BufIo, IoFragment, SgBufIo};
+use oskit_com::interfaces::blkio::BufIo;
 use oskit_com::{Error, Result};
 use std::sync::Arc;
 
@@ -16,12 +17,9 @@ use std::sync::Arc;
 pub enum SkbStorage {
     /// The normal case: one contiguous owned buffer.
     Owned(Vec<u8>),
-    /// A "fake" skbuff aliasing a foreign mapped buffer (zero copy).
-    Mapped(Arc<dyn BufIo>),
-    /// A fragment-list "fake" skbuff aliasing a foreign scatter-gather
-    /// buffer — the discontiguous analogue of [`SkbStorage::Mapped`],
-    /// mirroring Linux's `skb_shinfo->frags` page list.
-    SgMapped(Arc<dyn SgBufIo>),
+    /// A "fake" skbuff lending a foreign buffer's bytes (zero copy) as a
+    /// fragment list, mirroring Linux's `skb_shinfo->frags` page list.
+    Lent(Arc<dyn BufIo>),
 }
 
 /// The Linux packet buffer.
@@ -71,46 +69,25 @@ impl SkBuff {
         }
     }
 
-    /// Builds a read-only "fake skbuff" aliasing a mapped foreign buffer
-    /// (§4.7.3); `len` is the packet length.
-    ///
-    /// Fails with [`Error::Inval`] when the buffer holds fewer than `len`
-    /// bytes — a too-short bufio must be rejected here, not papered over
-    /// by growing `end` past the storage it aliases.
-    pub fn fake_mapped(bufio: Arc<dyn BufIo>, len: usize) -> Result<SkBuff> {
-        let size = bufio.get_size()? as usize;
-        if len > size {
-            return Err(Error::Inval);
-        }
-        Ok(SkBuff {
-            storage: SkbStorage::Mapped(bufio),
-            data: 0,
-            tail: len,
-            end: size,
-            dev: None,
-            protocol: 0,
-        })
-    }
-
-    /// Builds a read-only fragment-list "fake skbuff" aliasing a foreign
-    /// scatter-gather buffer: the `NETIF_F_SG` counterpart of
-    /// [`SkBuff::fake_mapped`], with the fragment list standing in for
-    /// `skb_shinfo->frags`.
+    /// Builds a read-only fragment-list "fake skbuff" lending a foreign
+    /// buffer's first `len` bytes (§4.7.3), its fragment list standing in
+    /// for `skb_shinfo->frags`; only an `NETIF_F_SG` device transmits it.
     ///
     /// Construction probes the fragment mapping once (as Linux fills the
     /// frag descriptors when the skb is built): a buffer that cannot
     /// expose its range as local fragments fails with
     /// [`Error::NotImpl`] so the caller can fall back to the
-    /// contiguous-map/copy ladder, and a too-short buffer fails with
-    /// [`Error::Inval`].
-    pub fn fake_sg(sg: Arc<dyn SgBufIo>, len: usize) -> Result<SkBuff> {
-        let size = sg.get_size()? as usize;
+    /// contiguous-map/copy ladder, and a buffer holding fewer than `len`
+    /// bytes fails with [`Error::Inval`] — rejected here, not papered
+    /// over by growing `end` past the storage it aliases.
+    pub fn fake_sg(bufio: Arc<dyn BufIo>, len: usize) -> Result<SkBuff> {
+        let size = bufio.get_size()? as usize;
         if len > size {
             return Err(Error::Inval);
         }
-        sg.with_map_fragments(0, len, &mut |_| {})?;
+        bufio.with_map_fragments(0, len, &mut |_| {})?;
         Ok(SkBuff {
-            storage: SkbStorage::SgMapped(sg),
+            storage: SkbStorage::Lent(bufio),
             data: 0,
             tail: len,
             end: size,
@@ -127,7 +104,7 @@ impl SkBuff {
     /// Whether this is a fragment-list (scatter-gather) skbuff, which
     /// only an `NETIF_F_SG`-capable device can transmit.
     pub fn is_sg(&self) -> bool {
-        matches!(self.storage, SkbStorage::SgMapped(_))
+        matches!(self.storage, SkbStorage::Lent(_))
     }
 
     /// `skb->len`: live byte count.
@@ -174,7 +151,7 @@ impl SkBuff {
         self.tail += len;
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[start..start + len],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("skb_put on mapped skb"),
+            SkbStorage::Lent(_) => panic!("skb_put on mapped skb"),
         }
     }
 
@@ -190,7 +167,7 @@ impl SkBuff {
         let start = self.data;
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[start..start + len],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("skb_push on mapped skb"),
+            SkbStorage::Lent(_) => panic!("skb_push on mapped skb"),
         }
     }
 
@@ -210,8 +187,7 @@ impl SkBuff {
         self.tail = self.data + len;
     }
 
-    /// Runs `f` over the live bytes (works for owned and mapped storage —
-    /// this is the zero-copy read path the driver transmit uses).
+    /// Runs `f` over the live bytes of an owned skbuff.
     ///
     /// # Panics
     ///
@@ -220,32 +196,18 @@ impl SkBuff {
     pub fn with_data<R>(&self, f: impl FnOnce(&[u8]) -> R) -> R {
         match &self.storage {
             SkbStorage::Owned(v) => f(&v[self.data..self.tail]),
-            SkbStorage::Mapped(b) => {
-                let mut out = None;
-                let mut f = Some(f);
-                b.with_map(self.data, self.tail - self.data, &mut |s| {
-                    if let Some(f) = f.take() {
-                        out = Some(f(s));
-                    }
-                })
-                .expect("mapped skb lost its mapping");
-                out.expect("with_map did not call back")
-            }
-            SkbStorage::SgMapped(_) => panic!("with_data on sg skb"),
+            SkbStorage::Lent(_) => panic!("with_data on sg skb"),
         }
     }
 
     /// Runs `f` over the live bytes as a fragment list — the
-    /// `skb_shinfo->frags` walk an SG driver performs.  Owned and
-    /// contiguous-mapped skbuffs present a single fragment, so a driver
-    /// written against this interface handles every storage kind.
-    pub fn with_frags<R>(&self, f: impl FnOnce(&[IoFragment<'_>]) -> R) -> R {
+    /// `skb_shinfo->frags` walk an SG driver performs.  An owned skbuff
+    /// presents a single fragment, so a driver written against this
+    /// interface handles every storage kind.
+    pub fn with_frags<R>(&self, f: impl FnOnce(&[&[u8]]) -> R) -> R {
         match &self.storage {
-            SkbStorage::Owned(v) => f(&[IoFragment {
-                data: &v[self.data..self.tail],
-            }]),
-            SkbStorage::Mapped(_) => self.with_data(|d| f(&[IoFragment { data: d }])),
-            SkbStorage::SgMapped(b) => {
+            SkbStorage::Owned(v) => f(&[&v[self.data..self.tail]]),
+            SkbStorage::Lent(b) => {
                 let mut out = None;
                 let mut f = Some(f);
                 b.with_map_fragments(self.data, self.tail - self.data, &mut |frags| {
@@ -263,19 +225,13 @@ impl SkBuff {
     pub fn data_mut(&mut self) -> &mut [u8] {
         match &mut self.storage {
             SkbStorage::Owned(v) => &mut v[self.data..self.tail],
-            SkbStorage::Mapped(_) | SkbStorage::SgMapped(_) => panic!("data_mut on mapped skb"),
+            SkbStorage::Lent(_) => panic!("data_mut on mapped skb"),
         }
     }
 
     /// Copies the live bytes out (diagnostics/tests).
     pub fn to_vec(&self) -> Vec<u8> {
-        self.with_frags(|frags| {
-            let mut v = Vec::with_capacity(self.len());
-            for fr in frags {
-                v.extend_from_slice(fr.data);
-            }
-            v
-        })
+        self.with_frags(|frags| frags.concat())
     }
 }
 
@@ -327,33 +283,31 @@ mod tests {
 
     #[test]
     fn mapped_skb_is_zero_copy_readable() {
+        // The lent fragment is the foreign buffer's own storage.
         let b = VecBufIo::from_vec(vec![9u8; 64]);
-        let skb = SkBuff::fake_mapped(b, 64).unwrap();
+        let mut at = std::ptr::null();
+        b.with_map(0, 64, &mut |d| at = d.as_ptr()).unwrap();
+        let skb = SkBuff::fake_sg(b, 64).unwrap();
         assert!(!skb.is_owned());
-        assert!(!skb.is_sg());
         assert_eq!(skb.len(), 64);
-        skb.with_data(|d| assert!(d.iter().all(|&x| x == 9)));
+        skb.with_frags(|frags| {
+            assert_eq!(frags.len(), 1);
+            assert_eq!(frags[0].as_ptr(), at);
+            assert!(frags[0].iter().all(|&x| x == 9));
+        });
     }
 
     #[test]
     #[should_panic(expected = "skb_put on mapped skb")]
     fn mapped_skb_is_read_only() {
         let b = VecBufIo::from_vec(vec![0u8; 64]);
-        let mut skb = SkBuff::fake_mapped(b, 32).unwrap();
+        let mut skb = SkBuff::fake_sg(b, 32).unwrap();
         skb.put(1);
     }
 
     #[test]
-    fn fake_mapped_rejects_short_bufio() {
-        // A bufio shorter than the claimed packet length must be refused,
-        // not silently masked by growing `end`.
-        let b = VecBufIo::from_vec(vec![0u8; 10]);
-        assert!(matches!(SkBuff::fake_mapped(b, 11), Err(Error::Inval)));
-    }
-
-    #[test]
     fn sg_skb_walks_fragments() {
-        // A contiguous SgBufIo presents one fragment; the walk matches
+        // A contiguous bufio presents one fragment; the walk matches
         // the bytes exactly.
         let b = VecBufIo::from_vec((0..40).collect());
         let skb = SkBuff::fake_sg(b, 40).unwrap();
@@ -384,7 +338,7 @@ mod tests {
         skb.put(5).copy_from_slice(&[1, 2, 3, 4, 5]);
         skb.with_frags(|frags| {
             assert_eq!(frags.len(), 1);
-            assert_eq!(frags[0].data, &[1, 2, 3, 4, 5]);
+            assert_eq!(frags[0], &[1, 2, 3, 4, 5]);
         });
     }
 

@@ -1,11 +1,11 @@
 //! The file system core — NetBSD's `ffs_alloc.c`/`ufs_bmap.c`/
 //! `ufs_lookup.c` reshaped onto the OFFS layout.
 
-use super::buf::BufCache;
 use super::ondisk::{
     layout, mode, Dinode, DiskDirent, Superblock, BLOCK_SIZE, DIRENT_SIZE, INODES_PER_BLOCK,
     INODE_SIZE, MAX_NAME, NDADDR, NINDIR, ROOT_INO,
 };
+use oskit_bufcache::BufCache;
 use oskit_com::interfaces::blkio::{BlkIo, BufIo, VecBufIo};
 use oskit_com::interfaces::fs::FileExtent;
 use oskit_com::{Error, Result};
@@ -33,7 +33,7 @@ impl FsCore {
         }
         let sb = layout(nblocks);
         let tracer = Tracer::new();
-        let cache = BufCache::new(Arc::clone(dev), 64, &tracer);
+        let cache = BufCache::new(dev, BLOCK_SIZE, 64, &tracer);
         // Zero the metadata region.
         for blk in 0..sb.data_start {
             cache.bwrite_full(blk, &vec![0u8; BLOCK_SIZE])?;
@@ -61,8 +61,8 @@ impl FsCore {
     /// Mounts an existing file system whose buffer cache books its hits,
     /// misses and evictions (the superblock read included) on `tracer`.
     pub fn mount(dev: &Arc<dyn BlkIo>, tracer: &Tracer) -> Result<Arc<FsCore>> {
-        let cache = BufCache::new(Arc::clone(dev), 256, tracer);
-        let sb = cache.bread(0, Superblock::decode)?.ok_or(Error::Inval)?;
+        let cache = BufCache::new(dev, BLOCK_SIZE, 256, tracer);
+        let sb = cache.bread_with(0, Superblock::decode)?.ok_or(Error::Inval)?;
         Ok(Arc::new(FsCore {
             cache,
             sb: Mutex::new(sb),
@@ -196,7 +196,7 @@ impl FsCore {
         let blk = sb.itable_start + ino / INODES_PER_BLOCK as u32;
         let off = (ino as usize % INODES_PER_BLOCK) * INODE_SIZE;
         self.cache
-            .bread(blk, |b| Dinode::decode(&b[off..off + INODE_SIZE]))
+            .bread_with(blk, |b| Dinode::decode(&b[off..off + INODE_SIZE]))
     }
 
     /// Writes inode `ino`.
@@ -247,7 +247,7 @@ impl FsCore {
     }
 
     fn indir_entry(&self, iblk: u32, index: usize, alloc: bool) -> Result<u32> {
-        let existing = self.cache.bread(iblk, |b| {
+        let existing = self.cache.bread_with(iblk, |b| {
             u32::from_le_bytes([
                 b[index * 4],
                 b[index * 4 + 1],
@@ -287,7 +287,7 @@ impl FsCore {
                 buf[done..done + n].fill(0);
             } else {
                 self.cache
-                    .bread(blk, |b| buf[done..done + n].copy_from_slice(&b[skew..skew + n]))?;
+                    .bread_with(blk, |b| buf[done..done + n].copy_from_slice(&b[skew..skew + n]))?;
             }
             done += n;
         }
@@ -323,7 +323,7 @@ impl FsCore {
                 });
             } else {
                 out.push(FileExtent {
-                    buf: self.cache.bread_block(blk)? as Arc<dyn BufIo>,
+                    buf: self.cache.bread(blk)? as Arc<dyn BufIo>,
                     off: skew,
                     len: n,
                 });
@@ -404,7 +404,7 @@ impl FsCore {
     }
 
     fn free_indir(&self, iblk: u32, depth: u32) -> Result<()> {
-        let entries: Vec<u32> = self.cache.bread(iblk, |b| {
+        let entries: Vec<u32> = self.cache.bread_with(iblk, |b| {
             (0..NINDIR)
                 .map(|i| {
                     u32::from_le_bytes([b[i * 4], b[i * 4 + 1], b[i * 4 + 2], b[i * 4 + 3]])
@@ -423,7 +423,7 @@ impl FsCore {
     }
 
     fn free_indir_partial(&self, iblk: u32, keep: usize) -> Result<()> {
-        let entries: Vec<(usize, u32)> = self.cache.bread(iblk, |b| {
+        let entries: Vec<(usize, u32)> = self.cache.bread_with(iblk, |b| {
             (keep..NINDIR)
                 .map(|i| {
                     (

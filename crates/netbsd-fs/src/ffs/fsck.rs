@@ -109,7 +109,7 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
         let within = rel % (BLOCK_SIZE * 8) as u32;
         let marked = fs
             .cache()
-            .bread(bit_blk, |b| b[(within / 8) as usize] & (1 << (within % 8)) != 0)?;
+            .bread_with(bit_blk, |b| b[(within / 8) as usize] & (1 << (within % 8)) != 0)?;
         let referenced = owner.contains_key(&blk);
         match (marked, referenced) {
             (false, true) => findings.push(Finding::UsedButFree { blk }),
@@ -179,7 +179,7 @@ pub fn fsck(fs: &FsCore) -> Result<Vec<Finding>> {
 }
 
 fn read_indir(fs: &FsCore, iblk: u32) -> Result<Vec<u32>> {
-    fs.cache().bread(iblk, |b| {
+    fs.cache().bread_with(iblk, |b| {
         (0..NINDIR)
             .map(|i| u32::from_le_bytes([b[i * 4], b[i * 4 + 1], b[i * 4 + 2], b[i * 4 + 3]]))
             .filter(|&e| e != 0)

@@ -15,7 +15,7 @@
 
 pub mod ffs {
     //! The donor-idiom file system code.
-    pub mod buf;
+    mod buf;
     pub mod fs;
     pub mod fsck;
     pub mod ondisk;

@@ -2,7 +2,7 @@
 //!
 //! A random payload, fragmented into a random mbuf chain, goes through
 //! the Linux ether glue as a foreign bufio under each driver mode —
-//! copy ladder (default driver, discontiguous chain), fake-mapped
+//! copy ladder (default driver, discontiguous chain), contiguous map
 //! (default driver, contiguous packet), and scatter-gather
 //! (`NETIF_F_SG` driver).  In every mode the bytes on the wire must
 //! equal the payload exactly, and the sender's work meter must show the
@@ -120,11 +120,11 @@ proptest! {
         }
     }
 
-    /// Fake-mapped mode: default driver, contiguous foreign packet.
+    /// Contiguous-map mode: default driver, contiguous foreign packet.
     /// The probe mapping is the transmit mapping — zero copies, zero
     /// gathers, bytes intact.
     #[test]
-    fn fake_mapped_mode_roundtrip(
+    fn contiguous_map_mode_roundtrip(
         payload in proptest::collection::vec(any::<u8>(), 47..1400),
     ) {
         let f = frame(&payload);
@@ -267,4 +267,4 @@ impl BufIo for DeviceResident {
     }
 }
 
-com_object!(DeviceResident, me, [BufIo]);
+com_object!(DeviceResident, me, [BlkIo, BufIo]);

@@ -3,11 +3,14 @@
 //! and the OSKit configuration (FreeBSD stack + encapsulated Linux driver,
 //! the paper's headline combination).
 
+use oskit::freebsd_net::bsd::mbuf::MbufChain;
+use oskit::freebsd_net::bsd::net::IfOutput;
 use oskit::freebsd_net::{TcpSock, UdpSock};
+use oskit::machine::{pseudo_header, Cksum};
 use oskit::testbed::{NodeNet, NodeReport, Testbed, IP_A, IP_B};
 use oskit::NetConfig;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Builds a two-machine testbed running `cfg` on both sides.
 fn pair(cfg: NetConfig) -> Testbed {
@@ -159,6 +162,66 @@ fn udp_datagram_round_trip() {
         let (n, (src, _)) = sock.recvfrom(&mut buf).unwrap();
         assert_eq!(src, IP_B);
         assert_eq!(&buf[..n], b"echo me");
+    });
+    tb.finish();
+}
+
+/// Frames an interface hands to its driver, kept instead of sent.
+#[derive(Default)]
+struct Capture(Mutex<Vec<Vec<u8>>>);
+
+impl IfOutput for Capture {
+    fn output(&self, frame: MbufChain) {
+        self.0.lock().unwrap().push(frame.to_vec());
+    }
+}
+
+#[test]
+fn zero_sum_udp_datagram_is_still_verified() {
+    // A datagram whose checksum computes to 0x0000 must go out as 0xFFFF
+    // (RFC 768): a zero field means "no checksum", and the receiver would
+    // then accept a corrupted copy.
+    let (sport, dport) = (5000u16, 7u16);
+    let ulen = 8 + 2;
+    let mut hdr = [0u8; 8];
+    hdr[0..2].copy_from_slice(&sport.to_be_bytes());
+    hdr[2..4].copy_from_slice(&dport.to_be_bytes());
+    hdr[4..6].copy_from_slice(&(ulen as u16).to_be_bytes());
+    let pseudo = pseudo_header(IP_A, IP_B, 17, ulen);
+    // The payload word that completes the sum to ones'-complement zero.
+    let payload = Cksum::new().add(&pseudo).add(&hdr).finish().to_be_bytes();
+    assert_eq!(Cksum::new().add(&pseudo).add(&hdr).add(&payload).finish(), 0);
+
+    let tb = pair(NetConfig::freebsd());
+    let (net_a, net_b) = (Arc::clone(tb.a.bsd()), Arc::clone(tb.b.bsd()));
+    let cap = Arc::new(Capture::default());
+    let ifp = net_a.ifnet();
+    ifp.set_output(Arc::clone(&cap) as Arc<dyn IfOutput>);
+    // Resolve b's address up front so the datagram is the only frame.
+    let mut arp = vec![0u8; 28];
+    arp[6..8].copy_from_slice(&2u16.to_be_bytes());
+    arp[8..14].copy_from_slice(&[2, 0, 0, 0, 0, 2]);
+    arp[14..18].copy_from_slice(&IP_B.octets());
+    ifp.arp_input(&arp);
+    tb.sim.spawn("udp", move || {
+        let server = UdpSock::new(&net_b);
+        server.bind(Ipv4Addr::UNSPECIFIED, dport).unwrap();
+        let client = UdpSock::new(&net_a);
+        client.bind(Ipv4Addr::UNSPECIFIED, sport).unwrap();
+        client.sendto(&payload, IP_B, dport).unwrap();
+        let frame = cap.0.lock().unwrap().pop().expect("datagram sent");
+        let udp = &frame[14 + 20..];
+        assert_eq!(&udp[6..8], &[0xFF, 0xFF], "zero sum sent as 0xFFFF");
+        assert_eq!(&udp[8..], &payload);
+        // The intact datagram is delivered; a corrupted copy is refused.
+        net_b.ether_input(MbufChain::from_slice(&frame));
+        let mut bad = frame.clone();
+        *bad.last_mut().unwrap() ^= 0x01;
+        net_b.ether_input(MbufChain::from_slice(&bad));
+        let mut buf = [0u8; 8];
+        assert_eq!(server.recvfrom(&mut buf).unwrap(), (2, (IP_A, sport)));
+        assert_eq!(&buf[..2], &payload);
+        assert!(!server.readable(), "corrupted datagram delivered unchecked");
     });
     tb.finish();
 }

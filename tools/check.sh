@@ -85,6 +85,14 @@ if [ "$fast" -eq 0 ]; then
     ./target/release/table1 | diff - tools/golden/table1.txt
     ./target/release/table2 | diff - tools/golden/table2.txt
     ./target/release/table3 | diff - tools/golden/table3.txt
+    echo "==> ablation runs (--boundaries, --sg, --napi, --faults) byte-identical to tools/golden"
+    # The per-boundary ledgers, the SG transmit path, NAPI and the one
+    # run that installs a fault plan: every row is deterministic, so any
+    # moved copy, gather, crossing or fault note shows as a diff.
+    ./target/release/table1 --boundaries --sg --napi --faults \
+        | diff - tools/golden/table1-boundaries-sg-napi-faults.txt
+    ./target/release/table2 --boundaries --sg --napi | diff - tools/golden/table2-boundaries-sg-napi.txt
+    ./target/release/table3 --boundaries | diff - tools/golden/table3-boundaries.txt
     echo "==> per-cell scheduler counts (--sched) byte-identical to tools/golden/sched.txt"
     # Token handoffs and events dispatched are deterministic host work: a
     # scheduling regression shows up here as a counter diff, free of
